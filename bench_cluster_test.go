@@ -1,5 +1,6 @@
 // Benchmarks for the bound-pruned clustering kernel (DESIGN.md §16):
-// the Lloyd kernel in isolation (pruned vs the exhaustive reference),
+// the Lloyd kernel in isolation (the exhaustive reference comparison
+// lives in internal/cluster, where the reference loop is reachable),
 // concurrent restarts, and end-to-end CAD View builds over a correlated
 // fixture whose latent-class structure is what the pruning bounds
 // exploit. BENCH_cluster.json records the before/after numbers.
@@ -45,23 +46,16 @@ func corrClusterTable() *dataset.Table {
 	return datagen.CorrTable("corrcars", 200_000, groups, 1)
 }
 
-// BenchmarkClusterKernel isolates the Lloyd kernel (seeding +
-// iterations) on the Figure-8 shape at l=15: the pruned default against
-// the exhaustive reference scan, bit-identical outputs. The
-// duplicate-collapse is cached on the fixture after the first call, so
-// the delta between sub-benches is pure kernel time.
+// BenchmarkClusterKernel isolates the production Lloyd kernel (seeding +
+// iterations) on the Figure-8 shape at l=15. The duplicate-collapse is
+// cached on the fixture after the first call, so this is pure kernel
+// time; the in-package benchmark of the same name sets it beside the
+// exhaustive reference loop.
 func BenchmarkClusterKernel(b *testing.B) {
 	sp := clusterKernelPoints(b)
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KMeans(sp, 15, cluster.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.KMeans(sp, 15, cluster.Options{Seed: 1, Exhaustive: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@
 package dbexplorer_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -141,30 +142,28 @@ func BenchmarkFig8ResultSize(b *testing.B) {
 	}
 }
 
-// BenchmarkCADViewBuildPath contrasts the row-scan reference pipeline
-// with the bitmap-native build (auto cost dispatch) on the Figure-8
-// worst case, at the 40K full-table result. Same output byte for byte —
-// the equivalence corpus asserts it — so the delta is pure pipeline
-// cost.
+// BenchmarkCADViewBuildPath contrasts the row-scan reference build
+// (core.BuildReference) with the production bitmap-native build on the
+// Figure-8 worst case, at the 40K full-table result. Same output byte
+// for byte — the equivalence corpus asserts it — so the delta is pure
+// pipeline cost.
 func BenchmarkCADViewBuildPath(b *testing.B) {
 	fixtures(b)
-	for _, bench := range []struct {
-		name string
-		path core.BuildPath
-	}{
-		{"Scan", core.PathScan},
-		{"Bitmap", core.PathAuto},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			cfg := fig8Config(15)
-			cfg.Path = bench.path
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Build(carView, carRows, cfg); err != nil {
-					b.Fatal(err)
-				}
+	cfg := fig8Config(15)
+	b.Run("Scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.BuildReference(context.Background(), carView, carRows, cfg); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("Bitmap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.Build(carView, carRows, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFig9GeneratedIUnits sweeps the number of generated IUnits l

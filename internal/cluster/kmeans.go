@@ -78,9 +78,8 @@ func Encode(v *dataview.View, rows dataset.RowSet, attrs []string) (*Points, *En
 			code := c.Code(r)
 			if code < 0 {
 				// NaN cells code -1; clamp to the attribute's first
-				// coordinate so all three encoders (dense, sparse scan,
-				// sparse bitmap — whose postings simply leave absent rows
-				// at the zero code) produce identical points.
+				// coordinate so the dense and sparse encoders produce
+				// identical points.
 				code = 0
 			}
 			row[enc.Offsets[a]+code] = 1
@@ -105,12 +104,11 @@ type Options struct {
 	// winner selection (lowest inertia, earliest restart on ties) is
 	// identical to the sequential loop, so results stay reproducible.
 	Restarts int
-	// Exhaustive forces the sparse kernel onto the unpruned reference
-	// Lloyd loop (full k-way scan per group per iteration, full center
-	// re-accumulation). The default bound-pruned kernel is bit-identical
-	// to it; this knob exists for the equivalence suite and the
-	// before/after benches.
-	Exhaustive bool
+	// exhaustive runs the sparse kernel's unpruned reference Lloyd loop
+	// (full k-way scan per group per iteration, full center
+	// re-accumulation). The bound-pruned kernel is bit-identical to it;
+	// only the package's equivalence tests and kernel benchmark set it.
+	exhaustive bool
 
 	// serialInner runs the fit's data-parallel chunk loops inline on the
 	// calling goroutine. Set by the restart fan-out, which already owns

@@ -54,7 +54,7 @@ func runAllThree(t *testing.T, tag string, dense *Points, sp *SparsePoints, k in
 		t.Fatalf("%s: dense: %v", tag, err)
 	}
 	ex := opt
-	ex.Exhaustive = true
+	ex.exhaustive = true
 	exhaustive, err := KMeans(sp, k, ex)
 	if err != nil {
 		t.Fatalf("%s: exhaustive: %v", tag, err)
@@ -220,5 +220,40 @@ func TestKModesRestartsDeterministic(t *testing.T) {
 	}
 	if best.Cost != first.Cost {
 		t.Fatalf("concurrent winner cost %v != sequential best %v", first.Cost, best.Cost)
+	}
+}
+
+// BenchmarkClusterKernel isolates the Lloyd kernel (seeding +
+// iterations) on the Figure-8 shape at l=15 — the Figure-8 compare
+// attributes over the first 8000 rows of the 40K used-car table, the
+// size of the sweep's largest pivot value: the pruned production kernel
+// against the exhaustive reference loop, bit-identical outputs. The
+// duplicate-collapse is cached on the fixture after the first call, so
+// the delta between sub-benches is pure kernel time.
+func BenchmarkClusterKernel(b *testing.B) {
+	tbl := datagen.UsedCarsFeatured(40000, 1)
+	v, err := dataview.New(tbl, dataview.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	attrs := []string{"Model", "Drivetrain", "FuelEconomy", "BodyType", "Engine", "Price"}
+	sp, _, err := EncodeSparse(v, dataset.AllRows(8000), attrs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bench := range []struct {
+		name string
+		opt  Options
+	}{
+		{"pruned", Options{Seed: 1}},
+		{"exhaustive", Options{Seed: 1, exhaustive: true}},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := KMeans(sp, 15, bench.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -112,8 +112,7 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		for a := 0; a < span; a++ {
 			c := segs[a][off]
 			if c < 0 {
-				// NaN cells clamp to code 0, matching the dense encoder
-				// and the bitmap encoder's zero-initialized Codes.
+				// NaN cells clamp to code 0, matching the dense encoder.
 				c = 0
 			}
 			row[a] = c
@@ -128,54 +127,6 @@ func EncodeSparse(v *dataview.View, rows dataset.RowSet, attrs []string) (*Spars
 		}
 		if key0 != nil {
 			key0[i] = k
-		}
-	}
-	return sp, enc, nil
-}
-
-// EncodeSparseBitmap encodes the given attributes over the rows of bm in
-// sparse form, reading posting bitmaps instead of per-row code lookups:
-// for each attribute, each code's posting set is intersected with bm and
-// its rows scattered into the code matrix at their rank within bm (a
-// prefix-popcount rank table makes the position an O(1) lookup). Point i
-// corresponds to the i-th smallest row of bm, so the result is identical
-// to EncodeSparse over bm.ToRowSet(). Code-0 postings are never swept:
-// the code matrix is zero-initialized, so their scatter would be a
-// no-op, and on skewed columns code 0 is the heaviest posting.
-func EncodeSparseBitmap(v *dataview.View, bm *dataset.Bitmap, attrs []string) (*SparsePoints, *Encoding, error) {
-	if len(attrs) == 0 {
-		return nil, nil, fmt.Errorf("cluster: no attributes to encode")
-	}
-	enc := &Encoding{Attrs: append([]string(nil), attrs...)}
-	cols := make([]*dataview.Column, len(attrs))
-	dim := 0
-	for i, name := range attrs {
-		c, err := v.Column(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols[i] = c
-		enc.Offsets = append(enc.Offsets, dim)
-		enc.Cards = append(enc.Cards, c.Cardinality())
-		dim += c.Cardinality()
-	}
-	enc.Offsets = append(enc.Offsets, dim)
-	n := bm.Len()
-	sp := &SparsePoints{
-		Codes:   make([]int32, n*len(attrs)),
-		N:       n,
-		A:       len(attrs),
-		Dim:     dim,
-		Offsets: enc.Offsets,
-	}
-	rk := bm.Ranks()
-	for a, c := range cols {
-		posts := c.Postings()
-		for code := 1; code < c.Cardinality() && code < len(posts); code++ {
-			cc := int32(code)
-			posts[code].ForEachAnd(bm, func(r int) {
-				sp.Codes[rk.Rank(r)*sp.A+a] = cc
-			})
 		}
 	}
 	return sp, enc, nil
@@ -1215,8 +1166,8 @@ func (f *sparseFit) reseedEmptyCached(assign []int32, empty []int, ds *deltaStat
 // pruned by Hamerly/Elkan distance bounds so converged groups skip the
 // k-way scan, and its Result — assignments, centers, inertia, iteration
 // count — is bit-identical to KMeansDense on the equivalent dense
-// encoding and to the exhaustive reference path (Options.Exhaustive);
-// see DESIGN.md §16 for the equivalence argument. With Restarts > 1 the
+// encoding and to the unpruned reference Lloyd loop its package tests
+// pin it against; see DESIGN.md §16 for the equivalence argument. With Restarts > 1 the
 // restarts fan out over the shared worker pool with independent rng
 // streams and the winner — lowest inertia, earliest restart on ties — is
 // the same result the sequential loop returns.
@@ -1312,7 +1263,7 @@ func kmeansSparseOnce(ctx context.Context, sp *SparsePoints, k int, opt Options)
 		eps:     eps,
 		serial:  opt.serialInner,
 	}
-	if opt.Exhaustive {
+	if opt.exhaustive {
 		return f.lloydExhaustive(ctx, sp, full, fit, rng, k, opt)
 	}
 	return f.lloydPruned(ctx, sp, full, fit, rng, k, opt, sampled)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"dbexplorer/internal/cluster"
 	"dbexplorer/internal/dataset"
+	"dbexplorer/internal/dataview"
 )
 
 // randomRows draws a random subset of [0, n) as a sorted row set and the
@@ -49,7 +51,7 @@ func TestResolvePivotValuesBitmapMatchesScan(t *testing.T) {
 					explicit = pivotCol.Labels()[:2]
 				}
 			}
-			wantVals, wantRows, err := resolvePivotValues(v, pivotCol, rows, explicit)
+			wantVals, wantRows, err := resolvePivotValues(pivotCol, rows, explicit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,38 +95,9 @@ func TestSampleRowsBitmapMatchesSampleRows(t *testing.T) {
 	}
 }
 
-// TestEncodeSparseBitmapMatchesEncodeSparse checks the posting-driven
-// sparse encoder produces the identical code matrix to the row scan.
-func TestEncodeSparseBitmapMatchesEncodeSparse(t *testing.T) {
-	v, _ := miniCars(t, 400, 5)
-	n := v.Table().NumRows()
-	attrs := []string{"Model", "Engine", "Price", "Color"}
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 13))
-		rows, bm := randomRows(rng, n)
-		if len(rows) == 0 {
-			continue
-		}
-		want, wantEnc, err := cluster.EncodeSparse(v, rows, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotEnc, err := cluster.EncodeSparseBitmap(v, bm, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Codes, got.Codes) || want.N != got.N || want.Dim != got.Dim {
-			t.Fatalf("trial %d: sparse encodings differ", trial)
-		}
-		if !reflect.DeepEqual(wantEnc, gotEnc) {
-			t.Fatalf("trial %d: encoding metadata differs", trial)
-		}
-	}
-}
-
 // TestBuildPathsByteIdentical is the top-level bit-identity guarantee:
-// the scan, auto, and forced-bitmap pipelines must render byte-identical
-// CAD Views across a spread of configurations.
+// the production bitmap build must render byte-identical CAD Views to
+// the row-scan reference across a spread of configurations.
 func TestBuildPathsByteIdentical(t *testing.T) {
 	v, rows := miniCars(t, 700, 21)
 	configs := []Config{
@@ -137,25 +110,49 @@ func TestBuildPathsByteIdentical(t *testing.T) {
 		{Pivot: "Make", AutoL: true, K: 2, Seed: 6},
 	}
 	for i, cfg := range configs {
-		scan := cfg
-		scan.Path = PathScan
-		want, _, err := Build(v, rows, scan)
-		if err != nil {
-			t.Fatalf("config %d scan: %v", i, err)
-		}
-		for _, path := range []BuildPath{PathAuto, PathBitmap} {
-			run := cfg
-			run.Path = path
-			got, _, err := Build(v, rows, run)
-			if err != nil {
-				t.Fatalf("config %d path %d: %v", i, path, err)
-			}
-			if Render(want, nil) != Render(got, nil) {
-				t.Errorf("config %d path %d: rendered CAD View differs from scan path", i, path)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("config %d path %d: CAD View structure differs from scan path", i, path)
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("config %d", i), v, rows, cfg)
+	}
+}
+
+// TestBuildOverStaleViewMatchesReference pins the build to the view's
+// row snapshot: after rows are appended to the table, a build over a
+// view made before the append must still succeed and equal the
+// reference, instead of packing its result bitmap over the live table's
+// larger universe.
+func TestBuildOverStaleViewMatchesReference(t *testing.T) {
+	v, rows := miniCars(t, 700, 21)
+	tbl := v.Table()
+	for i := 0; i < 50; i++ {
+		tbl.MustAppendRow("Delta", "Delta Mid", "V6", "AWD", 27000.0+float64(i), "Green")
+	}
+	if tbl.NumRows() == v.Rows() {
+		t.Fatal("append did not grow the table past the view's snapshot")
+	}
+	for i, cfg := range []Config{
+		{Pivot: "Make", Seed: 1},
+		{Pivot: "Price", Seed: 4},
+		{Pivot: "Make", PivotValues: []string{"Gamma", "Alpha"}, Seed: 2},
+	} {
+		assertMatchesReference(t, fmt.Sprintf("config %d", i), v, rows, cfg)
+	}
+}
+
+// assertMatchesReference builds cfg with the production pipeline and
+// with BuildReference and requires identical structure and rendering.
+func assertMatchesReference(t *testing.T, tag string, v *dataview.View, rows dataset.RowSet, cfg Config) {
+	t.Helper()
+	want, err := BuildReference(context.Background(), v, rows, cfg)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", tag, err)
+	}
+	got, _, err := Build(v, rows, cfg)
+	if err != nil {
+		t.Fatalf("%s: build: %v", tag, err)
+	}
+	if Render(want, nil) != Render(got, nil) {
+		t.Errorf("%s: rendered CAD View differs from the reference", tag)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: CAD View structure differs from the reference", tag)
 	}
 }

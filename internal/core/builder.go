@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -73,13 +74,6 @@ type Config struct {
 	// identical to the sequential build (all randomness is seeded per
 	// pivot value); only wall-clock changes.
 	Parallel bool
-	// Path selects the build implementation. PathAuto (the default) runs
-	// the posting-bitmap pipeline with per-stage cost dispatch; PathScan
-	// forces the row-at-a-time reference path; PathBitmap forces bitmap
-	// algebra even where a scan would be cheaper. All three produce
-	// byte-identical CAD Views — the knob exists for equivalence tests
-	// and benchmarks.
-	Path BuildPath
 	// Labeling controls cluster label construction.
 	Labeling LabelOptions
 
@@ -88,19 +82,6 @@ type Config struct {
 	// contingency sweep's bitmap form for the ranker call.
 	defaultRanker bool
 }
-
-// BuildPath selects between the bitmap-native build pipeline and the
-// row-scan reference implementation.
-type BuildPath int
-
-const (
-	// PathAuto uses posting bitmaps with per-candidate cost dispatch.
-	PathAuto BuildPath = iota
-	// PathScan forces the row-at-a-time reference pipeline.
-	PathScan
-	// PathBitmap forces bitmap algebra in every stage.
-	PathBitmap
-)
 
 func (c Config) withDefaults() Config {
 	if c.MaxCompare <= 0 {
@@ -182,151 +163,141 @@ func Build(v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, Timings
 
 // BuildContext constructs a CAD View over the result set rows of v's
 // table (paper Problem 1). It returns the view together with its
-// construction timing decomposition. The build has cancellation
-// checkpoints in every expensive stage — the feature-selection
-// contingency sweep, each k-means Lloyd iteration, the diversified top-k
-// expansion, and between pivot rows — so when ctx is canceled or its
-// deadline passes the build stops promptly and returns ctx's error.
+// construction timing decomposition. Every stage runs on posting bitmaps
+// over the view's row snapshot: the pivot partition intersects the pivot
+// postings with the result bitmap, and Compare Attribute selection runs
+// the contingency sweep as intersect-popcounts with a per-candidate
+// fallback to a row scan where that is cheaper. BuildReference is the
+// row-at-a-time oracle it is held byte-identical to. The build has
+// cancellation checkpoints in every expensive stage — the
+// feature-selection contingency sweep, each k-means Lloyd iteration, the
+// diversified top-k expansion, and between pivot rows — so when ctx is
+// canceled or its deadline passes the build stops promptly and returns
+// ctx's error.
 func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, Timings, error) {
 	var tm Timings
-	if err := fault.Hit(ctx, fault.PointCoreBuild); err != nil {
-		return nil, tm, err
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Pivot == "" {
-		return nil, tm, fmt.Errorf("core: no pivot attribute")
-	}
-	pivotCol, err := v.Column(cfg.Pivot)
+	cfg, pivotCol, err := buildHead(ctx, v, rows, cfg)
 	if err != nil {
 		return nil, tm, err
 	}
-	if len(rows) == 0 {
-		return nil, tm, fmt.Errorf("core: empty result set")
-	}
 
-	// The bitmap pipeline enters bitmap algebra once at the top: pack the
-	// result set and warm every column's posting sets, so the one-off
-	// posting construction is attributed to the Index stage instead of
-	// smeared over feature selection. On a warm table this stage is the
-	// cost of packing one bitmap.
-	useBitmap := cfg.Path != PathScan
-	var bm *dataset.Bitmap
-	if useBitmap {
-		start := time.Now()
-		bm = rows.Bitmap(v.Table().NumRows())
-		warmPivotPostings(v, cfg.Pivot)
-		tm.Index = time.Since(start)
-	}
+	// Enter bitmap algebra once at the top: pack the result set over the
+	// view's row snapshot (not the live table, which may have grown since
+	// the view was built) and warm the pivot's posting sets, so the
+	// one-off posting construction is attributed to the Index stage
+	// instead of smeared over feature selection. On a warm table this
+	// stage is the cost of packing one bitmap.
+	start := time.Now()
+	bm := rows.Bitmap(v.Rows())
+	warmPivotPostings(v, cfg.Pivot)
+	tm.Index = time.Since(start)
 
-	// Resolve pivot values and their row subsets.
-	var (
-		pivotValues []string
-		rowsByValue map[string]dataset.RowSet
-		bmByValue   map[string]*dataset.Bitmap
-	)
-	if useBitmap {
-		pivotValues, rowsByValue, bmByValue, err = resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
-	} else {
-		pivotValues, rowsByValue, err = resolvePivotValues(v, pivotCol, rows, cfg.PivotValues)
-	}
+	pivotValues, rowsByValue, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
 	if err != nil {
 		return nil, tm, err
 	}
 
 	// Problem 1.1: Compare Attribute selection over the rows that carry
-	// the selected pivot values.
-	var compareAttrs []string
-	if useBitmap {
-		// With default (all-present) pivot values the union of the
-		// per-value posting intersections is exactly the result set.
-		bmV := bm
-		if len(cfg.PivotValues) > 0 {
-			bmV = dataset.NewBitmap(bm.Universe())
-			for _, val := range pivotValues {
-				if b := bmByValue[val]; b != nil {
-					bmV.OrWith(b)
-				}
+	// the selected pivot values. With default (all-present) pivot values
+	// the union of the per-value posting intersections is exactly the
+	// result set.
+	bmV := bm
+	if len(cfg.PivotValues) > 0 {
+		bmV = dataset.NewBitmap(bm.Universe())
+		for _, val := range pivotValues {
+			if b := bmByValue[val]; b != nil {
+				bmV.OrWith(b)
 			}
 		}
-		if bmV.Len() == 0 {
-			return nil, tm, fmt.Errorf("core: no result rows carry the selected pivot values")
-		}
-		start := time.Now()
-		compareAttrs, err = selectCompareAttrsBitmap(ctx, v, bmV, cfg)
-		tm.CompareSelect = time.Since(start)
-	} else {
-		rowsV := make(dataset.RowSet, 0, len(rows))
-		for _, val := range pivotValues {
-			rowsV = append(rowsV, rowsByValue[val]...)
-		}
-		sort.Ints(rowsV)
-		if len(rowsV) == 0 {
-			return nil, tm, fmt.Errorf("core: no result rows carry the selected pivot values")
-		}
-		start := time.Now()
-		compareAttrs, err = selectCompareAttrs(ctx, v, rowsV, cfg)
-		tm.CompareSelect = time.Since(start)
 	}
+	if bmV.Len() == 0 {
+		return nil, tm, errNoPivotRows
+	}
+	start = time.Now()
+	compareAttrs, err := selectCompareAttrsBitmap(ctx, v, bmV, cfg)
+	tm.CompareSelect = time.Since(start)
 	if err != nil {
 		return nil, tm, err
 	}
-	if len(compareAttrs) == 0 {
-		return nil, tm, fmt.Errorf("core: no Compare Attributes available for pivot %q", cfg.Pivot)
+	view, err := buildPivotRows(ctx, v, pivotValues, rowsByValue, compareAttrs, cfg, &tm)
+	if err != nil {
+		return nil, tm, err
 	}
+	return view, tm, nil
+}
 
+// errNoPivotRows reports a result set with no row carrying any of the
+// selected pivot values.
+var errNoPivotRows = errors.New("core: no result rows carry the selected pivot values")
+
+// buildHead is the validation every build entry point starts with: the
+// fault point, config defaults, the pivot column, and a non-empty result
+// set.
+func buildHead(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg Config) (Config, *dataview.Column, error) {
+	if err := fault.Hit(ctx, fault.PointCoreBuild); err != nil {
+		return cfg, nil, err
+	}
+	cfg = cfg.withDefaults()
+	if cfg.Pivot == "" {
+		return cfg, nil, fmt.Errorf("core: no pivot attribute")
+	}
+	pivotCol, err := v.Column(cfg.Pivot)
+	if err != nil {
+		return cfg, nil, err
+	}
+	if len(rows) == 0 {
+		return cfg, nil, fmt.Errorf("core: empty result set")
+	}
+	return cfg, pivotCol, nil
+}
+
+// buildPivotRows is the tail every build entry point ends with: given the
+// pivot values in display order, each value's row subset, and the chosen
+// Compare Attributes, it runs Problems 1.2 and 2 per pivot value —
+// concurrently under cfg.Parallel — and assembles the CAD View. Cluster
+// and Other time accumulate into tm.
+func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string, rowsByValue map[string]dataset.RowSet, compareAttrs []string, cfg Config, tm *Timings) (*CADView, error) {
+	if len(compareAttrs) == 0 {
+		return nil, fmt.Errorf("core: no Compare Attributes available for pivot %q", cfg.Pivot)
+	}
 	view := &CADView{
 		Pivot:        cfg.Pivot,
 		CompareAttrs: compareAttrs,
 		K:            cfg.K,
 		Tau:          cfg.Alpha * float64(len(compareAttrs)),
 	}
-
-	// Problems 1.2 and 2 per pivot value: cluster, label, diversify.
 	for _, val := range pivotValues {
 		view.Rows = append(view.Rows, &PivotRow{Value: val, Count: len(rowsByValue[val])})
 	}
-	bmFor := func(val string) *dataset.Bitmap {
-		if bmByValue == nil {
-			return nil
-		}
-		return bmByValue[val]
-	}
-	if cfg.Parallel {
-		errs := make([]error, len(pivotValues))
-		times := make([]Timings, len(pivotValues))
-		parallel.Do(len(pivotValues), func(vi int) {
-			val := view.Rows[vi].Value
-			errs[vi] = buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], bmFor(val), cfg, int64(vi), &times[vi])
-		})
-		for vi := range pivotValues {
-			if errs[vi] != nil {
-				return nil, tm, errs[vi]
-			}
-			tm.Cluster += times[vi].Cluster
-			tm.Other += times[vi].Other
-			tm.ClusterDetail.Add(times[vi].ClusterDetail)
-		}
-	} else {
-		for vi := range pivotValues {
-			val := view.Rows[vi].Value
-			if err := buildPivotRow(ctx, v, view, view.Rows[vi], rowsByValue[val], bmFor(val), cfg, int64(vi), &tm); err != nil {
-				return nil, tm, err
+	if !cfg.Parallel {
+		for vi, row := range view.Rows {
+			if err := buildPivotRow(ctx, v, view, row, rowsByValue[row.Value], cfg, int64(vi), tm); err != nil {
+				return nil, err
 			}
 		}
+		return view, nil
 	}
-	return view, tm, nil
+	errs := make([]error, len(view.Rows))
+	times := make([]Timings, len(view.Rows))
+	parallel.Do(len(view.Rows), func(vi int) {
+		row := view.Rows[vi]
+		errs[vi] = buildPivotRow(ctx, v, view, row, rowsByValue[row.Value], cfg, int64(vi), &times[vi])
+	})
+	for vi := range view.Rows {
+		if errs[vi] != nil {
+			return nil, errs[vi]
+		}
+		tm.Cluster += times[vi].Cluster
+		tm.Other += times[vi].Other
+		tm.ClusterDetail.Add(times[vi].ClusterDetail)
+	}
+	return view, nil
 }
 
 // buildPivotRow runs Problems 1.2 and 2 for one pivot value: encode,
 // cluster (with the fixed-l or auto-l policy), label, score, and keep
-// the diversified top-k. Timing accumulates into tm. Encoding always
-// uses the per-row scan unless PathBitmap forces the posting-scatter
-// encoder: the scan does one cached segmented code load per (row,
-// attribute) cell, while the scatter pays a closure call plus a rank
-// lookup per cell on top of the posting AND — profiling shows the scan
-// wins across pivot-value selectivities, and the two encoders produce
-// identical code matrices, so this is purely a time dispatch.
-func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, bmVal *dataset.Bitmap, cfg Config, valIndex int64, tm *Timings) error {
+// the diversified top-k. Timing accumulates into tm.
+func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, cfg Config, valIndex int64, tm *Timings) error {
 	if len(rowsVal) == 0 {
 		return nil
 	}
@@ -334,13 +305,7 @@ func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *Pi
 		return err
 	}
 	startCluster := time.Now()
-	var points *cluster.SparsePoints
-	var err error
-	if bmVal != nil && cfg.Path == PathBitmap {
-		points, _, err = cluster.EncodeSparseBitmap(v, bmVal, view.CompareAttrs)
-	} else {
-		points, _, err = cluster.EncodeSparse(v, rowsVal, view.CompareAttrs)
-	}
+	points, _, err := cluster.EncodeSparse(v, rowsVal, view.CompareAttrs)
 	if err != nil {
 		return err
 	}
@@ -410,108 +375,6 @@ func fitClusters(ctx context.Context, points *cluster.SparsePoints, cfg Config, 
 	return best, st, nil
 }
 
-// resolvePivotValues returns the pivot rows' display order and each
-// value's row subset. Explicit values are validated against the column
-// domain; the default order is descending result-set frequency.
-func resolvePivotValues(v *dataview.View, pivotCol *dataview.Column, rows dataset.RowSet, explicit []string) ([]string, map[string]dataset.RowSet, error) {
-	byCode := partitionRowsByCode(pivotCol, rows)
-	rowsByValue := make(map[string]dataset.RowSet)
-
-	if len(explicit) > 0 {
-		seen := make(map[string]bool)
-		var values []string
-		for _, val := range explicit {
-			if seen[val] {
-				continue
-			}
-			seen[val] = true
-			code := pivotCol.CodeOf(val)
-			if code < 0 {
-				return nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
-			}
-			values = append(values, val)
-			rowsByValue[val] = byCode[code]
-		}
-		return values, rowsByValue, nil
-	}
-
-	type vc struct {
-		val   string
-		count int
-	}
-	var ranked []vc
-	for code, rs := range byCode {
-		ranked = append(ranked, vc{pivotCol.Label(code), len(rs)})
-		rowsByValue[pivotCol.Label(code)] = rs
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].count != ranked[j].count {
-			return ranked[i].count > ranked[j].count
-		}
-		return ranked[i].val < ranked[j].val
-	})
-	values := make([]string, len(ranked))
-	for i, r := range ranked {
-		values[i] = r.val
-	}
-	return values, rowsByValue, nil
-}
-
-// pivotPartitionMin is the result-set size below which the pivot
-// partition runs serially; smaller sets don't amortize the per-segment
-// map merge.
-const pivotPartitionMin = 1 << 15
-
-// partitionRowsByCode groups a sorted row set by pivot code, one morsel
-// per storage segment: each segment's rows partition into a local map
-// with the segment's code slice hoisted out of the loop, and per-code
-// slices then concatenate in segment order. Over an ascending row set
-// that reproduces the serial append order exactly, so the per-value
-// subsequences are bit-identical to a single sequential sweep.
-func partitionRowsByCode(pivotCol *dataview.Column, rows dataset.RowSet) map[int]dataset.RowSet {
-	byCode := make(map[int]dataset.RowSet)
-	if len(rows) == 0 {
-		return byCode
-	}
-	segs := pivotCol.CodeSegs()
-	first := rows[0] >> dataset.SegmentBits
-	nSpan := rows[len(rows)-1]>>dataset.SegmentBits - first + 1
-	if nSpan <= 1 || len(rows) < pivotPartitionMin {
-		for _, r := range rows {
-			c := int(segs[r>>dataset.SegmentBits][r&dataset.SegmentMask])
-			// NaN pivot cells code -1: they belong to no pivot value,
-			// exactly as in the bitmap variant, whose postings never
-			// contain NaN rows.
-			if c >= 0 {
-				byCode[c] = append(byCode[c], r)
-			}
-		}
-		return byCode
-	}
-	locals := make([]map[int]dataset.RowSet, nSpan)
-	parallel.Do(nSpan, func(k int) {
-		span := rows.SegmentSpan(first + k)
-		if len(span) == 0 {
-			return
-		}
-		seg := segs[first+k]
-		m := make(map[int]dataset.RowSet, 16)
-		for _, r := range span {
-			c := int(seg[r&dataset.SegmentMask])
-			if c >= 0 {
-				m[c] = append(m[c], r)
-			}
-		}
-		locals[k] = m
-	})
-	for _, m := range locals {
-		for c, rs := range m {
-			byCode[c] = append(byCode[c], rs...)
-		}
-	}
-	return byCode
-}
-
 // explicitCompareAttrs validates the user's explicit Compare Attributes
 // and enumerates the remaining automatic candidates. A nil candidate
 // slice means selection is already complete (budget filled, or nothing
@@ -577,25 +440,6 @@ func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 	return chosen
 }
 
-// selectCompareAttrs applies the paper's Compare Attribute policy:
-// explicitly selected attributes first, then automatically ranked ones
-// that pass the significance threshold, up to MaxCompare total.
-func selectCompareAttrs(ctx context.Context, v *dataview.View, rowsV dataset.RowSet, cfg Config) ([]string, error) {
-	chosen, candidates, err := explicitCompareAttrs(v, cfg)
-	if err != nil || len(candidates) == 0 {
-		return chosen, err
-	}
-	rankRows := rowsV
-	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < len(rankRows) {
-		rankRows = sampleRows(rankRows, cfg.FeatureSampleSize, cfg.Seed)
-	}
-	scores, err := cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return applyScores(chosen, scores, cfg), nil
-}
-
 // selectCompareAttrsBitmap is selectCompareAttrs fed by the result-set
 // bitmap. With the default chi-square ranker and no sampling, the
 // contingency sweep runs in its bitmap form (intersect-popcount against
@@ -614,8 +458,7 @@ func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *datase
 		rankRows := sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
 		scores, err = cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
 	case cfg.defaultRanker:
-		forceBitmap := cfg.Path == PathBitmap
-		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates, forceBitmap)
+		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates)
 	default:
 		scores, err = cfg.Ranker(ctx, v, bmV.ToRowSet(), cfg.Pivot, candidates)
 	}
@@ -623,27 +466,6 @@ func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *datase
 		return nil, err
 	}
 	return applyScores(chosen, scores, cfg), nil
-}
-
-// sampleRows takes a deterministic systematic sample of exactly
-// min(size, len(rows)) rows: evenly spaced positions rotated by a
-// seed-derived offset, wrapping around the end of the slice. (A plain
-// strided scan from a nonzero offset runs off the end and under-fills
-// the sample — the wrap keeps both the size and the uniform spacing.)
-func sampleRows(rows dataset.RowSet, size int, seed int64) dataset.RowSet {
-	n := len(rows)
-	if size >= n {
-		return append(dataset.RowSet(nil), rows...)
-	}
-	offset := int(seed % int64(n))
-	if offset < 0 {
-		offset += n
-	}
-	out := make(dataset.RowSet, 0, size)
-	for j := 0; j < size; j++ {
-		out = append(out, rows[(offset+j*n/size)%n])
-	}
-	return out
 }
 
 // sampleRowsBitmap draws the same systematic sample as sampleRows —

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 
 // TestCorpusCADViewBitmapMatchesScan is the CAD View counterpart of the
 // WHERE-corpus equivalence test: for every corpus result set, the
-// bitmap-native build pipeline (auto-dispatched and forced) must produce
-// a CAD View byte-identical to the row-scan reference — same structure,
-// same rendering — across categorical and numeric pivots.
+// bitmap-native production build must produce a CAD View byte-identical
+// to the row-scan reference (core.BuildReference) — same structure, same
+// rendering — across categorical and numeric pivots.
 func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 	tbl := carsTable(t, 400, 1)
 	s := NewSession()
@@ -32,23 +33,20 @@ func TestCorpusCADViewBitmapMatchesScan(t *testing.T) {
 			continue // empty result sets cannot host a CAD View
 		}
 		for _, pivot := range []string{"Make", "Price"} {
-			cfg := core.Config{Pivot: pivot, K: 3, MaxCompare: 5, Seed: 1, Path: core.PathScan}
-			want, _, err := core.Build(v, r.Rows, cfg)
+			cfg := core.Config{Pivot: pivot, K: 3, MaxCompare: 5, Seed: 1}
+			want, err := core.BuildReference(context.Background(), v, r.Rows, cfg)
 			if err != nil {
-				t.Fatalf("%s pivot %s: scan build: %v", q, pivot, err)
+				t.Fatalf("%s pivot %s: reference build: %v", q, pivot, err)
 			}
-			for _, path := range []core.BuildPath{core.PathAuto, core.PathBitmap} {
-				cfg.Path = path
-				got, _, err := core.Build(v, r.Rows, cfg)
-				if err != nil {
-					t.Fatalf("%s pivot %s path %d: %v", q, pivot, path, err)
-				}
-				if core.Render(want, nil) != core.Render(got, nil) {
-					t.Errorf("%s pivot %s path %d: rendered CAD View diverged from scan path", q, pivot, path)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s pivot %s path %d: CAD View structure diverged from scan path", q, pivot, path)
-				}
+			got, _, err := core.Build(v, r.Rows, cfg)
+			if err != nil {
+				t.Fatalf("%s pivot %s: %v", q, pivot, err)
+			}
+			if core.Render(want, nil) != core.Render(got, nil) {
+				t.Errorf("%s pivot %s: rendered CAD View diverged from the reference", q, pivot)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s pivot %s: CAD View structure diverged from the reference", q, pivot)
 			}
 		}
 	}

@@ -61,12 +61,46 @@ func randomSubset(rng *rand.Rand, n int) (dataset.RowSet, *dataset.Bitmap) {
 	return rows, bm
 }
 
+// dispatchCounts tallies how fillByBitmap routes each candidate of one
+// fill — the tests below require their random shapes to reach both
+// sides, so the cell-for-cell comparisons cover the posting sweep and
+// the row-scan fallback alike.
+type dispatchCounts struct{ bitmap, scan int }
+
+func (d *dispatchCounts) observe(t *testing.T, v *dataview.View, bm *dataset.Bitmap, candidates []string) {
+	t.Helper()
+	cols, err := resolveCandidates(v, "Class", candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clsBmps, _, err := classBitmaps(v, bm, "Class")
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := (bm.Universe() + 63) / 64
+	for _, col := range cols {
+		if fillByBitmap(col, len(clsBmps), words, bm.Len()) {
+			d.bitmap++
+		} else {
+			d.scan++
+		}
+	}
+}
+
+func (d *dispatchCounts) requireBothSides(t *testing.T) {
+	t.Helper()
+	if d.bitmap == 0 || d.scan == 0 {
+		t.Fatalf("dispatch reached only one side: %d bitmap, %d scan candidates", d.bitmap, d.scan)
+	}
+}
+
 // TestFillTablesBitmapMatchesScan is the white-box property test the
 // bitmap contingency path is held to: over random tables and random
-// filters, the posting-bitmap fill — both cost-dispatched and forced —
-// must reproduce the row-scan fill cell for cell.
+// filters, the cost-dispatched posting-bitmap fill must reproduce the
+// row-scan fill cell for cell, with candidates on both dispatch sides.
 func TestFillTablesBitmapMatchesScan(t *testing.T) {
 	ctx := context.Background()
+	var dispatch dispatchCounts
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		v, n, candidates := randomView(t, rng)
@@ -86,33 +120,35 @@ func TestFillTablesBitmapMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, force := range []bool{false, true} {
-			got, gotClasses, err := fillTablesBitmap(ctx, v, cols, bm, "Class", force)
-			if err != nil {
-				t.Fatalf("trial %d force=%v: %v", trial, force, err)
-			}
-			if gotClasses != nClasses {
-				t.Fatalf("trial %d force=%v: nClasses = %d, want %d", trial, force, gotClasses, nClasses)
-			}
-			for j := range cols {
-				for x := range want[j].Counts {
-					for y := range want[j].Counts[x] {
-						if got[j].Counts[x][y] != want[j].Counts[x][y] {
-							t.Fatalf("trial %d force=%v: candidate %s cell (%d,%d) = %d, want %d",
-								trial, force, candidates[j], x, y, got[j].Counts[x][y], want[j].Counts[x][y])
-						}
+		dispatch.observe(t, v, bm, candidates)
+		got, gotClasses, err := fillTablesBitmap(ctx, v, cols, bm, "Class")
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if gotClasses != nClasses {
+			t.Fatalf("trial %d: nClasses = %d, want %d", trial, gotClasses, nClasses)
+		}
+		for j := range cols {
+			for x := range want[j].Counts {
+				for y := range want[j].Counts[x] {
+					if got[j].Counts[x][y] != want[j].Counts[x][y] {
+						t.Fatalf("trial %d: candidate %s cell (%d,%d) = %d, want %d",
+							trial, candidates[j], x, y, got[j].Counts[x][y], want[j].Counts[x][y])
 					}
 				}
 			}
 		}
 	}
+	dispatch.requireBothSides(t)
 }
 
-// TestBitmapRankersMatchScan checks the exported bitmap entry points
-// end to end: identical Score slices — attribute order, statistic, and
-// p-value — to the scan-path rankers over random inputs.
+// TestBitmapRankersMatchScan checks the exported bitmap entry point end
+// to end: identical Score slices — attribute order, statistic, and
+// p-value — to the scan-path ranker over random inputs, with candidates
+// on both dispatch sides.
 func TestBitmapRankersMatchScan(t *testing.T) {
 	ctx := context.Background()
+	var dispatch dispatchCounts
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*104729 + 1))
 		v, n, candidates := randomView(t, rng)
@@ -124,15 +160,8 @@ func TestBitmapRankersMatchScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chiBm, err := ChiSquareBitmapContext(ctx, v, bm, "Class", candidates, trial%2 == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miScan, err := MutualInformationContext(ctx, v, rows, "Class", candidates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miBm, err := MutualInformationBitmapContext(ctx, v, bm, "Class", candidates, trial%2 == 1)
+		dispatch.observe(t, v, bm, candidates)
+		chiBm, err := ChiSquareBitmapContext(ctx, v, bm, "Class", candidates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +169,7 @@ func TestBitmapRankersMatchScan(t *testing.T) {
 			if chiScan[i] != chiBm[i] {
 				t.Fatalf("trial %d: chi score %d = %+v, want %+v", trial, i, chiBm[i], chiScan[i])
 			}
-			if miScan[i] != miBm[i] {
-				t.Fatalf("trial %d: mi score %d = %+v, want %+v", trial, i, miBm[i], miScan[i])
-			}
 		}
 	}
+	dispatch.requireBothSides(t)
 }

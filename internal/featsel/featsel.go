@@ -228,16 +228,29 @@ func classBitmaps(v *dataview.View, bm *dataset.Bitmap, classAttr string) ([]*da
 // when card·classes·words beats rows·scanCostRatio.
 const scanCostRatio = 6
 
+// fillByBitmap is the per-candidate fill dispatch: true when sweeping
+// col's postings (card·classes·words fused AND+popcount words) is no
+// dearer than scanning nRows coded rows. A candidate whose postings are
+// not yet materialized must promise roughly double the win before the
+// bitmap branch is worth the one-time posting build it triggers.
+func fillByBitmap(col *dataview.Column, nClasses, words, nRows int) bool {
+	cost := col.Cardinality() * nClasses * words
+	if !col.PostingsReady() {
+		cost *= 2
+	}
+	return cost <= nRows*scanCostRatio
+}
+
 // fillTablesBitmap builds the same contingency tables as fillTablesScan
 // by bitmap algebra: cell (x, y) of candidate j is the fused
 // intersect-popcount |posting_j[x] ∩ classBmp[y]|, no row enumerated.
-// Work scales with card·classes·words instead of rows·candidates, so the
-// caller dispatches per candidate on estimated cost: candidates whose
-// posting sweep would cost more than the row sweep (high cardinality,
-// small row sets) fall back to one shared fillTablesScan over the
-// materialized rows. Cells are exact counts either way, so the split is
+// Work scales with card·classes·words instead of rows·candidates, so it
+// dispatches per candidate on estimated cost (fillByBitmap): candidates
+// whose posting sweep would cost more than the row sweep (high
+// cardinality, small row sets) fall back to one shared fillTablesScan
+// over the materialized rows. Cells are exact counts either way, so the split is
 // invisible in the output. Cancellation is checked per candidate.
-func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Column, bm *dataset.Bitmap, classAttr string, forceBitmap bool) ([]*stats.ContingencyTable, int, error) {
+func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Column, bm *dataset.Bitmap, classAttr string) ([]*stats.ContingencyTable, int, error) {
 	clsBmps, clsCodes, err := classBitmaps(v, bm, classAttr)
 	if err != nil {
 		return nil, 0, err
@@ -250,15 +263,7 @@ func fillTablesBitmap(ctx context.Context, v *dataview.View, cols []*dataview.Co
 	byBitmap := make([]bool, len(cols))
 	var catCols []int
 	for j, col := range cols {
-		// A candidate whose postings are not yet materialized must promise
-		// roughly double the win before the bitmap branch is worth the
-		// one-time posting build it triggers; warm candidates fill by
-		// bitmap whenever the sweep itself is cheaper than the row scan.
-		cost := col.Cardinality() * nClasses * words
-		if !col.PostingsReady() {
-			cost *= 2
-		}
-		byBitmap[j] = forceBitmap || cost <= nRows*scanCostRatio
+		byBitmap[j] = fillByBitmap(col, nClasses, words, nRows)
 		if byBitmap[j] && col.Kind == dataset.Categorical {
 			catCols = append(catCols, col.Col)
 		}
@@ -399,11 +404,10 @@ func ChiSquareContext(ctx context.Context, v *dataview.View, rows dataset.RowSet
 // ChiSquareBitmapContext is ChiSquareContext with the row subset given as
 // a bitmap: contingency tables come from posting-bitmap algebra (see
 // fillTablesBitmap) and the scores are identical to the scan path's. The
-// bitmap must be over the table's row universe. forceBitmap disables the
-// per-candidate cost dispatch and fills every table by bitmap — callers
-// that must exercise the bitmap machinery end to end (forced-path
-// equivalence runs) set it; production callers leave it false.
-func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string, forceBitmap bool) ([]Score, error) {
+// bitmap must be over the view's row universe. Each candidate's table
+// fills by posting sweep or by row scan, whichever its estimated cost
+// favors; the cells are exact counts either way.
+func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string) ([]Score, error) {
 	cols, err := resolveCandidates(v, classAttr, candidates)
 	if err != nil {
 		return nil, err
@@ -411,7 +415,7 @@ func ChiSquareBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.B
 	if bm.Len() == 0 {
 		return nil, fmt.Errorf("featsel: empty row set")
 	}
-	tables, _, err := fillTablesBitmap(ctx, v, cols, bm, classAttr, forceBitmap)
+	tables, _, err := fillTablesBitmap(ctx, v, cols, bm, classAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -459,33 +463,7 @@ func MutualInformationContext(ctx context.Context, v *dataview.View, rows datase
 	if err != nil {
 		return nil, err
 	}
-	return miScores(tables, candidates, nClasses, len(rows))
-}
-
-// MutualInformationBitmapContext is MutualInformationContext with the row
-// subset given as a bitmap; tables come from posting-bitmap algebra and
-// the scores are identical to the scan path's. forceBitmap is as in
-// ChiSquareBitmapContext.
-func MutualInformationBitmapContext(ctx context.Context, v *dataview.View, bm *dataset.Bitmap, classAttr string, candidates []string, forceBitmap bool) ([]Score, error) {
-	cols, err := resolveCandidates(v, classAttr, candidates)
-	if err != nil {
-		return nil, err
-	}
-	nRows := bm.Len()
-	if nRows == 0 {
-		return nil, fmt.Errorf("featsel: empty row set")
-	}
-	tables, nClasses, err := fillTablesBitmap(ctx, v, cols, bm, classAttr, forceBitmap)
-	if err != nil {
-		return nil, err
-	}
-	return miScores(tables, candidates, nClasses, nRows)
-}
-
-// miScores turns per-candidate contingency tables into the sorted mutual
-// information ranking; shared by the scan and bitmap entry points.
-func miScores(tables []*stats.ContingencyTable, candidates []string, nClasses, nRows int) ([]Score, error) {
-	n := float64(nRows)
+	n := float64(len(rows))
 	out, err := rankEach(len(candidates), func(j int) (Score, error) {
 		// The joint, x, and y marginals are the integer cells of the
 		// candidate's contingency table, so MI reduces to one pass over

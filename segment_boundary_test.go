@@ -1,12 +1,13 @@
 // Top-level segment-boundary equivalence: tables whose row counts land
 // on every awkward segment shape — well inside one segment, one row past
 // a segment edge, and an exact multiple of the segment size — must
-// produce bit-identical CAD Views across build paths, facet digests that
-// match independent row scans, and compiled predicate plans that select
-// the same rows cold (no postings yet) and warm.
+// produce CAD Views bit-identical to the row-scan reference, facet
+// digests that match independent row scans, and compiled predicate plans
+// that select the same rows cold (no postings yet) and warm.
 package dbexplorer_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -155,24 +156,31 @@ func TestAppendBoundaryEquivalence(t *testing.T) {
 				t.Fatal("scan digest over the grown table differs from the reference build")
 			}
 
-			// CAD Views: bit-identical structure and rendering.
+			// CAD Views: the production build over the grown table and the
+			// reference build over the grown table must both equal the
+			// reference build over the reference table.
 			cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
-			for _, path := range []core.BuildPath{core.PathScan, core.PathBitmap} {
-				run := cfg
-				run.Path = path
-				got, _, err := core.Build(vG, rows, run)
-				if err != nil {
-					t.Fatalf("path %d (grown): %v", path, err)
+			want, err := core.BuildReference(context.Background(), vR, rows, cfg)
+			if err != nil {
+				t.Fatalf("reference build (reference table): %v", err)
+			}
+			refGrown, err := core.BuildReference(context.Background(), vG, rows, cfg)
+			if err != nil {
+				t.Fatalf("reference build (grown): %v", err)
+			}
+			got, _, err := core.Build(vG, rows, cfg)
+			if err != nil {
+				t.Fatalf("build (grown): %v", err)
+			}
+			for _, c := range []struct {
+				name string
+				view *core.CADView
+			}{{"build", got}, {"reference build", refGrown}} {
+				if core.Render(c.view, nil) != core.Render(want, nil) {
+					t.Errorf("%s: rendered CAD View over the grown table differs from the reference", c.name)
 				}
-				want, _, err := core.Build(vR, rows, run)
-				if err != nil {
-					t.Fatalf("path %d (reference): %v", path, err)
-				}
-				if core.Render(got, nil) != core.Render(want, nil) {
-					t.Errorf("path %d: rendered CAD View over the grown table differs from the reference", path)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("path %d: CAD View structure over the grown table differs from the reference", path)
+				if !reflect.DeepEqual(c.view, want) {
+					t.Errorf("%s: CAD View structure over the grown table differs from the reference", c.name)
 				}
 			}
 		})
@@ -268,29 +276,23 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				t.Fatalf("score facet bins = %v, want %v", gotBins, wantBins)
 			}
 
-			// CAD View bit-identity: the scan path is the unsegmented
-			// reference semantics; the segmented posting paths must
-			// render and structure identically on every boundary shape.
+			// CAD View bit-identity: the row-scan reference build is the
+			// unsegmented reference semantics; the segmented posting build
+			// must render and structure identically on every boundary shape.
 			cfg := core.Config{Pivot: "c0", MaxCompare: 2, K: 2, L: 3, Seed: 1}
-			scan := cfg
-			scan.Path = core.PathScan
-			want, _, err := core.Build(v, rows, scan)
+			want, err := core.BuildReference(context.Background(), v, rows, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, path := range []core.BuildPath{core.PathAuto, core.PathBitmap} {
-				run := cfg
-				run.Path = path
-				got, _, err := core.Build(v, rows, run)
-				if err != nil {
-					t.Fatalf("path %d: %v", path, err)
-				}
-				if core.Render(want, nil) != core.Render(got, nil) {
-					t.Errorf("path %d: rendered CAD View differs from scan reference", path)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("path %d: CAD View structure differs from scan reference", path)
-				}
+			got, _, err := core.Build(v, rows, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if core.Render(want, nil) != core.Render(got, nil) {
+				t.Error("rendered CAD View differs from scan reference")
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Error("CAD View structure differs from scan reference")
 			}
 		})
 	}
