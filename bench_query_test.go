@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/expr"
 	"dbexplorer/internal/facet"
 )
@@ -46,7 +47,7 @@ func BenchmarkQueryFilterStack(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("depth=%d/vectorized", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := expr.Select(tbl, carRows, e); err != nil {
+				if _, err := compiledRows(tbl, e); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,7 +118,7 @@ func BenchmarkQuerySelectivity(b *testing.B) {
 	})
 	b.Run("vectorized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := expr.Select(tbl, carRows, e); err != nil {
+			if _, err := compiledRows(tbl, e); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -139,4 +140,18 @@ func BenchmarkPanelDigest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess.PanelDigest()
 	}
+}
+
+// compiledRows evaluates e over the whole table through the compiled
+// bitmap evaluator and unpacks the result.
+func compiledRows(tbl *dataset.Table, e expr.Expr) (dataset.RowSet, error) {
+	c, err := expr.Compile(tbl, e)
+	if err != nil {
+		return nil, err
+	}
+	bm, err := c.Bitmap()
+	if err != nil {
+		return nil, err
+	}
+	return bm.ToRowSet(), nil
 }

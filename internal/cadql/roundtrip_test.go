@@ -64,11 +64,10 @@ func randomPredicate(rng *rand.Rand, depth int) expr.Expr {
 // exactly the same rows.
 func TestPredicateStringRoundTripProperty(t *testing.T) {
 	tbl := roundTripTable()
-	all := dataset.AllRows(tbl.NumRows())
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		orig := randomPredicate(rng, 3)
-		wantRows, err := expr.Select(tbl, all, orig)
+		wantRows, err := compiledRows(tbl, orig)
 		if err != nil {
 			t.Logf("original predicate invalid (%v): %s", err, orig)
 			return false
@@ -79,7 +78,7 @@ func TestPredicateStringRoundTripProperty(t *testing.T) {
 			t.Logf("reparse failed for %q: %v", query, err)
 			return false
 		}
-		got, err := expr.Select(tbl, all, stmt.(*SelectStmt).Where)
+		got, err := compiledRows(tbl, stmt.(*SelectStmt).Where)
 		if err != nil {
 			t.Logf("re-parsed predicate invalid for %q: %v", query, err)
 			return false
@@ -108,16 +107,29 @@ func TestMarysQueryRoundTrip(t *testing.T) {
 		t.Fatalf("reparse of %q: %v", where.String(), err)
 	}
 	tbl := roundTripTable()
-	all := dataset.AllRows(tbl.NumRows())
-	r1, err := expr.Select(tbl, all, where)
+	r1, err := compiledRows(tbl, where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := expr.Select(tbl, all, again.(*SelectStmt).Where)
+	r2, err := compiledRows(tbl, again.(*SelectStmt).Where)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Jaccard(r2) != 1 {
 		t.Error("round trip changed selection")
 	}
+}
+
+// compiledRows evaluates e over the whole table through the compiled
+// bitmap evaluator and unpacks the result.
+func compiledRows(tbl *dataset.Table, e expr.Expr) (dataset.RowSet, error) {
+	c, err := expr.Compile(tbl, e)
+	if err != nil {
+		return nil, err
+	}
+	bm, err := c.Bitmap()
+	if err != nil {
+		return nil, err
+	}
+	return bm.ToRowSet(), nil
 }

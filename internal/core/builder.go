@@ -47,10 +47,6 @@ type Config struct {
 	Significance float64
 	// Preference scores IUnits for top-k ranking (default ByClusterSize).
 	Preference Preference
-	// Ranker selects Compare Attributes (default
-	// featsel.ChiSquareContext). Rankers receive the build's context and
-	// are expected to honor its cancellation.
-	Ranker featsel.Ranker
 	// Seed makes clustering deterministic.
 	Seed int64
 	// FeatureSampleSize, when > 0, ranks Compare Attributes on at most
@@ -76,11 +72,6 @@ type Config struct {
 	Parallel bool
 	// Labeling controls cluster label construction.
 	Labeling LabelOptions
-
-	// defaultRanker records whether Ranker was left nil and filled by
-	// withDefaults — only then may the bitmap path substitute the
-	// contingency sweep's bitmap form for the ranker call.
-	defaultRanker bool
 }
 
 func (c Config) withDefaults() Config {
@@ -101,10 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Preference == nil {
 		c.Preference = ByClusterSize
-	}
-	if c.Ranker == nil {
-		c.Ranker = featsel.ChiSquareContext
-		c.defaultRanker = true
 	}
 	return c
 }
@@ -192,7 +179,7 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	warmPivotPostings(v, cfg.Pivot)
 	tm.Index = time.Since(start)
 
-	pivotValues, rowsByValue, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
+	pivotValues, bmByValue, err := resolvePivotValuesBitmap(pivotCol, bm, cfg.PivotValues)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -219,7 +206,7 @@ func BuildContext(ctx context.Context, v *dataview.View, rows dataset.RowSet, cf
 	if err != nil {
 		return nil, tm, err
 	}
-	view, err := buildPivotRows(ctx, v, pivotValues, rowsByValue, compareAttrs, cfg, &tm)
+	view, err := buildPivotRows(ctx, v, pivotValues, bmByValue, compareAttrs, cfg, &tm)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -252,11 +239,12 @@ func buildHead(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg C
 }
 
 // buildPivotRows is the tail every build entry point ends with: given the
-// pivot values in display order, each value's row subset, and the chosen
-// Compare Attributes, it runs Problems 1.2 and 2 per pivot value —
-// concurrently under cfg.Parallel — and assembles the CAD View. Cluster
-// and Other time accumulate into tm.
-func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string, rowsByValue map[string]dataset.RowSet, compareAttrs []string, cfg Config, tm *Timings) (*CADView, error) {
+// pivot values in display order, each value's row subset as a bitmap
+// over the view's row snapshot, and the chosen Compare Attributes, it
+// runs Problems 1.2 and 2 per pivot value — concurrently under
+// cfg.Parallel — and assembles the CAD View. Cluster and Other time
+// accumulate into tm.
+func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string, bmByValue map[string]*dataset.Bitmap, compareAttrs []string, cfg Config, tm *Timings) (*CADView, error) {
 	if len(compareAttrs) == 0 {
 		return nil, fmt.Errorf("core: no Compare Attributes available for pivot %q", cfg.Pivot)
 	}
@@ -267,11 +255,15 @@ func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string,
 		Tau:          cfg.Alpha * float64(len(compareAttrs)),
 	}
 	for _, val := range pivotValues {
-		view.Rows = append(view.Rows, &PivotRow{Value: val, Count: len(rowsByValue[val])})
+		row := &PivotRow{Value: val}
+		if b := bmByValue[val]; b != nil {
+			row.Count = b.Len()
+		}
+		view.Rows = append(view.Rows, row)
 	}
 	if !cfg.Parallel {
 		for vi, row := range view.Rows {
-			if err := buildPivotRow(ctx, v, view, row, rowsByValue[row.Value], cfg, int64(vi), tm); err != nil {
+			if err := buildPivotRow(ctx, v, view, row, bmByValue[row.Value], cfg, int64(vi), tm); err != nil {
 				return nil, err
 			}
 		}
@@ -281,7 +273,7 @@ func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string,
 	times := make([]Timings, len(view.Rows))
 	parallel.Do(len(view.Rows), func(vi int) {
 		row := view.Rows[vi]
-		errs[vi] = buildPivotRow(ctx, v, view, row, rowsByValue[row.Value], cfg, int64(vi), &times[vi])
+		errs[vi] = buildPivotRow(ctx, v, view, row, bmByValue[row.Value], cfg, int64(vi), &times[vi])
 	})
 	for vi := range view.Rows {
 		if errs[vi] != nil {
@@ -294,17 +286,19 @@ func buildPivotRows(ctx context.Context, v *dataview.View, pivotValues []string,
 	return view, nil
 }
 
-// buildPivotRow runs Problems 1.2 and 2 for one pivot value: encode,
-// cluster (with the fixed-l or auto-l policy), label, score, and keep
-// the diversified top-k. Timing accumulates into tm.
-func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, rowsVal dataset.RowSet, cfg Config, valIndex int64, tm *Timings) error {
-	if len(rowsVal) == 0 {
+// buildPivotRow runs Problems 1.2 and 2 for one pivot value: unpack its
+// rows, encode, cluster (with the fixed-l or auto-l policy), label,
+// score, and keep the diversified top-k. A nil or empty bitmap leaves
+// the row without IUnits. Timing accumulates into tm.
+func buildPivotRow(ctx context.Context, v *dataview.View, view *CADView, row *PivotRow, bmVal *dataset.Bitmap, cfg Config, valIndex int64, tm *Timings) error {
+	if row.Count == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	startCluster := time.Now()
+	rowsVal := bmVal.ToRowSet()
 	points, _, err := cluster.EncodeSparse(v, rowsVal, view.CompareAttrs)
 	if err != nil {
 		return err
@@ -410,11 +404,11 @@ func explicitCompareAttrs(v *dataview.View, cfg Config) (chosen, candidates []st
 }
 
 // applyScores appends ranked attributes to chosen up to the MaxCompare
-// budget: rankers with a significance test (chi-square) are cut at the
-// configured level, score-only rankers require positive weight. When
-// nothing passes the cut — e.g. a single pivot value, where no attribute
-// can contrast classes — the view still needs attributes to cluster and
-// label on, so it falls back to the ranker's top candidates.
+// budget: scores with a p-value below 1 are cut at the configured
+// significance level, and those without one require positive weight.
+// When nothing passes the cut — e.g. a single pivot value, where no
+// attribute can contrast classes — the view still needs attributes to
+// cluster and label on, so it falls back to the top-ranked candidates.
 func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 	for _, s := range scores {
 		if len(chosen) == cfg.MaxCompare {
@@ -441,11 +435,11 @@ func applyScores(chosen []string, scores []featsel.Score, cfg Config) []string {
 }
 
 // selectCompareAttrsBitmap is selectCompareAttrs fed by the result-set
-// bitmap. With the default chi-square ranker and no sampling, the
-// contingency sweep runs in its bitmap form (intersect-popcount against
-// the class postings) without materializing a row set at all; feature
-// sampling draws the systematic sample straight off the bitmap; a custom
-// ranker sees exactly the row set the scan path would have passed it.
+// bitmap. Without sampling, the chi-square contingency sweep runs in its
+// bitmap form (intersect-popcount against the class postings) without
+// materializing a row set at all; feature sampling draws the systematic
+// sample straight off the bitmap and ranks it with the row-set sweep, as
+// the reference build does.
 func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *dataset.Bitmap, cfg Config) ([]string, error) {
 	chosen, candidates, err := explicitCompareAttrs(v, cfg)
 	if err != nil || len(candidates) == 0 {
@@ -453,14 +447,11 @@ func selectCompareAttrsBitmap(ctx context.Context, v *dataview.View, bmV *datase
 	}
 	nV := bmV.Len()
 	var scores []featsel.Score
-	switch {
-	case cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < nV:
+	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < nV {
 		rankRows := sampleRowsBitmap(bmV, cfg.FeatureSampleSize, cfg.Seed)
-		scores, err = cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
-	case cfg.defaultRanker:
+		scores, err = featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
+	} else {
 		scores, err = featsel.ChiSquareBitmapContext(ctx, v, bmV, cfg.Pivot, candidates)
-	default:
-		scores, err = cfg.Ranker(ctx, v, bmV.ToRowSet(), cfg.Pivot, candidates)
 	}
 	if err != nil {
 		return nil, err
@@ -504,24 +495,14 @@ func sampleRowsBitmap(bm *dataset.Bitmap, size int, seed int64) dataset.RowSet {
 // resolvePivotValuesBitmap is resolvePivotValues driven by the pivot
 // column's posting sets: each pivot code's result-set rows are the
 // intersection of its posting bitmap with the result bitmap, counted by
-// fused popcount and materialized (ascending, exactly the scan path's
-// per-value subsequences) only for values that actually occur. The
+// fused popcount and intersected only for values that actually occur.
+// The per-value bitmaps stay packed; each pivot row unpacks its own
+// (ascending, exactly the scan path's per-value subsequence). The
 // default display order — count descending, label ascending — is a total
 // order, so it matches the scan path's sort bit for bit.
-func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, explicit []string) ([]string, map[string]dataset.RowSet, map[string]*dataset.Bitmap, error) {
+func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, explicit []string) ([]string, map[string]*dataset.Bitmap, error) {
 	posts := pivotCol.Postings()
-	rowsByValue := make(map[string]dataset.RowSet)
 	bmByValue := make(map[string]*dataset.Bitmap)
-	materialize := func(val string, code int) {
-		b := posts[code].And(bm)
-		if b.Len() == 0 {
-			return
-		}
-		rs := make(dataset.RowSet, 0, b.Len())
-		b.ForEach(func(r int) { rs = append(rs, r) })
-		rowsByValue[val] = rs
-		bmByValue[val] = b
-	}
 
 	if len(explicit) > 0 {
 		seen := make(map[string]bool)
@@ -533,17 +514,19 @@ func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, exp
 			seen[val] = true
 			code := pivotCol.CodeOf(val)
 			if code < 0 {
-				return nil, nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
+				return nil, nil, fmt.Errorf("core: pivot attribute %q has no value %q", pivotCol.Attr, val)
 			}
 			values = append(values, val)
-			materialize(val, code)
+			if b := posts[code].And(bm); b.Len() > 0 {
+				bmByValue[val] = b
+			}
 		}
-		return values, rowsByValue, bmByValue, nil
+		return values, bmByValue, nil
 	}
 
-	// Count every code first (cheap fused popcounts), then materialize
-	// the surviving values' intersections concurrently — each writes its
-	// own slot, and the maps are assembled after the pool drains.
+	// Count every code first (cheap fused popcounts), then intersect the
+	// surviving values concurrently — each writes its own slot, and the
+	// map is assembled after the pool drains.
 	type vc struct {
 		code  int
 		val   string
@@ -558,14 +541,8 @@ func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, exp
 		}
 	}
 	bms := make([]*dataset.Bitmap, len(ranked))
-	rss := make([]dataset.RowSet, len(ranked))
-	parallel.Do(len(ranked), func(i int) {
-		b := posts[ranked[i].code].And(bm)
-		bms[i] = b
-		rss[i] = b.ToRowSet()
-	})
+	parallel.Do(len(ranked), func(i int) { bms[i] = posts[ranked[i].code].And(bm) })
 	for i, r := range ranked {
-		rowsByValue[r.val] = rss[i]
 		bmByValue[r.val] = bms[i]
 	}
 	sort.Slice(ranked, func(i, j int) bool {
@@ -578,7 +555,7 @@ func resolvePivotValuesBitmap(pivotCol *dataview.Column, bm *dataset.Bitmap, exp
 	for i, r := range ranked {
 		values[i] = r.val
 	}
-	return values, rowsByValue, bmByValue, nil
+	return values, bmByValue, nil
 }
 
 // warmPivotPostings materializes the pivot column's posting sets before

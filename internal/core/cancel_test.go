@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
-	"dbexplorer/internal/featsel"
 )
 
 func TestBuildContextPreCanceled(t *testing.T) {
@@ -30,11 +28,11 @@ func TestBuildContextDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestBuildContextCanceledMidBuild cancels deterministically between the
-// Compare-Attribute-selection stage and clustering — the ranker hook
-// fires mid-build, so the clustering checkpoints must notice without any
-// timer races — and verifies the parallel build's pool workers drain
-// rather than leak.
+// TestBuildContextCanceledMidBuild cancels deterministically from inside
+// a pivot row — the preference hook fires per IUnit after clustering, so
+// the top-k and per-row checkpoints must notice without any timer races
+// — and verifies the parallel build's pool workers drain rather than
+// leak.
 func TestBuildContextCanceledMidBuild(t *testing.T) {
 	v, rows := miniCars(t, 2000, 3)
 	runtime.GC()
@@ -43,10 +41,9 @@ func TestBuildContextCanceledMidBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{Pivot: "Make", K: 3, Seed: 1, Parallel: true}
-	cfg.Ranker = func(rctx context.Context, rv *dataview.View, rrows dataset.RowSet, classAttr string, candidates []string) ([]featsel.Score, error) {
-		scores, err := featsel.ChiSquareContext(rctx, rv, rrows, classAttr, candidates)
+	cfg.Preference = func(pv *dataview.View, iu *IUnit) float64 {
 		cancel()
-		return scores, err
+		return ByClusterSize(pv, iu)
 	}
 	_, _, err := BuildContext(ctx, v, rows, cfg)
 	if !errors.Is(err, context.Canceled) {

@@ -7,16 +7,18 @@ import (
 
 	"dbexplorer/internal/dataset"
 	"dbexplorer/internal/dataview"
+	"dbexplorer/internal/featsel"
 )
 
 // BuildReference is the row-at-a-time reference build: it partitions the
 // result set by pivot code with one sequential sweep, ranks Compare
-// Attributes with cfg.Ranker over materialized row sets, and samples with
-// the plain systematic sampler — no posting bitmaps anywhere. It shares
-// BuildContext's validation and its per-pivot-row clustering, labeling
-// and top-k, and its CAD View is byte-identical to BuildContext's for
-// every input; the equivalence suites pin the production build to it.
-// It has no production caller and no timing decomposition.
+// Attributes with the row-set chi-square sweep, and samples with the
+// plain systematic sampler — no posting bitmaps until the partition is
+// packed for the shared tail. It shares BuildContext's validation and
+// its per-pivot-row clustering, labeling and top-k, and its CAD View is
+// byte-identical to BuildContext's for every input; the equivalence
+// suites pin the production build to it. It has no production caller
+// and no timing decomposition.
 func BuildReference(ctx context.Context, v *dataview.View, rows dataset.RowSet, cfg Config) (*CADView, error) {
 	cfg, pivotCol, err := buildHead(ctx, v, rows, cfg)
 	if err != nil {
@@ -38,8 +40,12 @@ func BuildReference(ctx context.Context, v *dataview.View, rows dataset.RowSet, 
 	if err != nil {
 		return nil, err
 	}
+	bmByValue := make(map[string]*dataset.Bitmap, len(rowsByValue))
+	for val, rs := range rowsByValue {
+		bmByValue[val] = dataset.FromRowSet(v.Rows(), rs)
+	}
 	var tm Timings
-	return buildPivotRows(ctx, v, pivotValues, rowsByValue, compareAttrs, cfg, &tm)
+	return buildPivotRows(ctx, v, pivotValues, bmByValue, compareAttrs, cfg, &tm)
 }
 
 // resolvePivotValues returns the pivot rows' display order and each
@@ -118,7 +124,7 @@ func selectCompareAttrs(ctx context.Context, v *dataview.View, rowsV dataset.Row
 	if cfg.FeatureSampleSize > 0 && cfg.FeatureSampleSize < len(rankRows) {
 		rankRows = sampleRows(rankRows, cfg.FeatureSampleSize, cfg.Seed)
 	}
-	scores, err := cfg.Ranker(ctx, v, rankRows, cfg.Pivot, candidates)
+	scores, err := featsel.ChiSquareContext(ctx, v, rankRows, cfg.Pivot, candidates)
 	if err != nil {
 		return nil, err
 	}

@@ -120,7 +120,7 @@ func TestUsedCarsSUVQueryIsRich(t *testing.T) {
 		&expr.Cmp{Attr: "Transmission", Op: expr.Eq, Str: "Automatic"},
 		&expr.Cmp{Attr: "BodyType", Op: expr.Eq, Str: "SUV"},
 	}}
-	rows, err := expr.Select(tbl, dataset.AllRows(tbl.NumRows()), where)
+	rows, err := compiledRows(tbl, where)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +242,14 @@ func TestMushroomAlternativeCondition(t *testing.T) {
 	// StalkShape=enlarged ∧ SporePrintColor=chocolate identifies subtype
 	// P1, and so does Odor=foul: their result sets must overlap heavily.
 	tbl := MushroomN(6000, 4)
-	all := dataset.AllRows(tbl.NumRows())
-	target, err := expr.Select(tbl, all, &expr.And{Kids: []expr.Expr{
+	target, err := compiledRows(tbl, &expr.And{Kids: []expr.Expr{
 		&expr.Cmp{Attr: "StalkShape", Op: expr.Eq, Str: "enlarged"},
 		&expr.Cmp{Attr: "SporePrintColor", Op: expr.Eq, Str: "chocolate"},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt, err := expr.Select(tbl, all, &expr.Cmp{Attr: "Odor", Op: expr.Eq, Str: "foul"})
+	alt, err := compiledRows(tbl, &expr.Cmp{Attr: "Odor", Op: expr.Eq, Str: "foul"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,4 +298,18 @@ func TestMushroomDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compiledRows evaluates e over the whole table through the compiled
+// bitmap evaluator and unpacks the result.
+func compiledRows(tbl *dataset.Table, e expr.Expr) (dataset.RowSet, error) {
+	c, err := expr.Compile(tbl, e)
+	if err != nil {
+		return nil, err
+	}
+	bm, err := c.Bitmap()
+	if err != nil {
+		return nil, err
+	}
+	return bm.ToRowSet(), nil
 }

@@ -222,37 +222,6 @@ func (b *Bitmap) Contains(i int) bool {
 	return b.cs[i>>chunkBits].contains(uint16(i & chunkMask))
 }
 
-// FilterRowSet returns the subsequence of rows contained in b, in input
-// order. Runs of rows within one segment resolve against that segment's
-// container directly — one bounds check and container dispatch per
-// segment run instead of per row — and empty segments skip their whole
-// run. Out-of-universe rows are dropped, as Contains would.
-func (b *Bitmap) FilterRowSet(rows RowSet) RowSet {
-	out := make(RowSet, 0, len(rows))
-	for i := 0; i < len(rows); {
-		r := rows[i]
-		if r < 0 || r >= b.n {
-			i++
-			continue
-		}
-		s := r >> chunkBits
-		c := &b.cs[s]
-		if c.card == 0 {
-			for i < len(rows) && rows[i]>>chunkBits == s {
-				i++
-			}
-			continue
-		}
-		for i < len(rows) && rows[i]>>chunkBits == s {
-			if c.contains(uint16(rows[i] & chunkMask)) {
-				out = append(out, rows[i])
-			}
-			i++
-		}
-	}
-	return out
-}
-
 // Len returns the set cardinality. Containers cache their population,
 // so this is O(chunks), not O(rows).
 func (b *Bitmap) Len() int {

@@ -553,14 +553,18 @@ const edgeLadderRowCost = 8
 // search of the edge ladder per filter row (sparse filters). Both
 // produce exact counts, so the dispatch never shows in the output.
 //
+// The filter's universe may be smaller than the index's rows — a set
+// over a view snapshot the table has since grown past — and segments
+// beyond it are skipped. A filter larger than the index panics.
+//
 // Every threshold window derives from the two ladders:
 //
 //	v <  e  → lt       v >  e  → valid − le
 //	v <= e  → le       v >= e  → valid − lt
 //	v == e  → le − lt
 func (ix *Index) NumEdgeCounts(col int, edges []float64, filter *Bitmap) (lt, le []int, valid int) {
-	if filter.Universe() != ix.n {
-		panic("dataset: NumEdgeCounts filter universe mismatch")
+	if filter.Universe() > ix.n {
+		panic("dataset: NumEdgeCounts filter universe exceeds the index")
 	}
 	ords, _ := ix.numOrder(col)
 	nsegs := ix.t.nums[col].segTable()
@@ -571,6 +575,9 @@ func (ix *Index) NumEdgeCounts(col int, edges []float64, filter *Bitmap) (lt, le
 	posLe := make([]int, ne)
 	var histLt, histLe []int
 	for s, so := range ords {
+		if s >= len(filter.cs) {
+			break
+		}
 		fc := &filter.cs[s]
 		if fc.card == 0 {
 			continue

@@ -63,7 +63,8 @@ func rowsOf(b *Bitmap) []int {
 // TestSegmentBoundaryShapes checks the segmented index against
 // brute-force row scans at every boundary shape: per-code postings,
 // inclusive numeric ranges, every comparison operator, and the batched
-// edge-ladder counts under full, sparse, and dense filters.
+// edge-ladder counts under full, sparse, dense, and shorter-snapshot
+// filters.
 func TestSegmentBoundaryShapes(t *testing.T) {
 	for _, n := range boundaryShapes {
 		n := n
@@ -159,6 +160,15 @@ func TestSegmentBoundaryShapes(t *testing.T) {
 				}
 				filters[f.name] = bm
 			}
+			// A filter over a shorter snapshot of the table (a view the
+			// table has grown past): segments beyond it must be skipped.
+			snap := NewBitmap(min(n-1, SegmentSize-1))
+			for i := 0; i < snap.Universe(); i++ {
+				if rng.Float64() < 0.6 {
+					snap.Add(i)
+				}
+			}
+			filters["snapshot"] = snap
 			for fname, filter := range filters {
 				wantLt := make([]int, len(edges))
 				wantLe := make([]int, len(edges))
@@ -189,6 +199,14 @@ func TestSegmentBoundaryShapes(t *testing.T) {
 					t.Fatalf("NumEdgeCounts %s: lt/le = %v/%v, want %v/%v", fname, lt, le, wantLt, wantLe)
 				}
 			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("NumEdgeCounts accepted a filter larger than the index")
+					}
+				}()
+				ix.NumEdgeCounts(numCol, edges, NewBitmap(n+1))
+			}()
 		})
 	}
 }

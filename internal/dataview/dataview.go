@@ -430,19 +430,3 @@ func (v *View) Column(name string) (*Column, error) {
 	}
 	return v.cols[i], nil
 }
-
-// CodeCounts tallies code frequencies of the named column over rows.
-func (v *View) CodeCounts(name string, rows dataset.RowSet) ([]int, error) {
-	c, err := v.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, c.Cardinality())
-	for _, r := range rows {
-		// NaN cells code -1 and belong to no bucket.
-		if code := c.Code(r); code >= 0 {
-			counts[code]++
-		}
-	}
-	return counts, nil
-}

@@ -90,40 +90,6 @@ func TestViewErrors(t *testing.T) {
 	if _, err := v.Column("Nope"); err == nil {
 		t.Error("unknown column: want error")
 	}
-	if _, err := v.CodeCounts("Nope", nil); err == nil {
-		t.Error("CodeCounts unknown column: want error")
-	}
-}
-
-func TestCodeCounts(t *testing.T) {
-	tbl := testTable(t)
-	v, err := New(tbl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := v.CodeCounts("Make", dataset.AllRows(tbl.NumRows()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, _ := v.Column("Make")
-	if counts[mk.CodeOf("Ford")] != 4 || counts[mk.CodeOf("Jeep")] != 3 {
-		t.Errorf("counts = %v", counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != tbl.NumRows() {
-		t.Errorf("counts sum = %d", total)
-	}
-	// Subset restriction.
-	sub, err := v.CodeCounts("Make", dataset.RowSet{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub[mk.CodeOf("Ford")] != 2 {
-		t.Errorf("subset counts = %v", sub)
-	}
 }
 
 func TestStableBinsUnderSelection(t *testing.T) {

@@ -314,10 +314,11 @@ func (s *Session) execSelect(st *cadql.SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := comp.SelectAll()
+	bm, err := comp.Bitmap()
 	if err != nil {
 		return nil, err
 	}
+	rows := bm.ToRowSet()
 	if len(st.OrderBy) > 0 {
 		if err := sortRows(e.table, rows, st.OrderBy); err != nil {
 			return nil, err
@@ -447,22 +448,18 @@ func (s *Session) execExplain(ctx context.Context, st *cadql.ExplainStmt) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	rows, err := comp.SelectAll()
+	bm, err := comp.Bitmap()
 	if err != nil {
 		return nil, err
 	}
+	rows := bm.ToRowSet()
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN CADVIEW %s on %s\n", c.Name, e.table.Name())
-	plan := "vectorized (posting bitmaps)"
-	if !comp.Vectorized() {
-		plan = "interpreted (row scan)"
-	}
-	fmt.Fprintf(&b, "where: %s, selectivity %.4f\n", plan,
-		float64(len(rows))/float64(e.table.NumRows()))
+	fmt.Fprintf(&b, "where: selectivity %.4f\n", float64(len(rows))/float64(e.table.NumRows()))
 	if c.Where != nil {
 		// The cost-chosen evaluation order with per-leaf cardinality
 		// estimates: And children print cheapest-first, exactly as the
-		// vectorized evaluator folds them.
+		// evaluator folds them.
 		for _, line := range strings.Split(comp.Explain(), "\n") {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
@@ -560,10 +557,11 @@ func (s *Session) execCreateCADView(ctx context.Context, st *cadql.CreateCADView
 	if err != nil {
 		return nil, err
 	}
-	rows, err := comp.SelectAll()
+	bm, err := comp.Bitmap()
 	if err != nil {
 		return nil, err
 	}
+	rows := bm.ToRowSet()
 	cfg := core.Config{
 		Pivot:        st.Pivot,
 		CompareAttrs: st.Compare,

@@ -4,10 +4,10 @@
 // algebra over the table's posting index (dataset.Index). Leaves resolve
 // to precomputed posting bitmaps (categorical equality, IN) or two
 // binary searches over a value-sorted row order (numeric comparisons,
-// BETWEEN); AND/OR/NOT combine whole words at a time. The interpreted
-// row-at-a-time path remains as the fallback for expression types this
-// package does not know, and equivalence tests pin the two paths to
-// bit-identical results.
+// BETWEEN); AND/OR/NOT combine whole words at a time. This is the only
+// production evaluator: Compile rejects what it cannot lower, and the
+// row-at-a-time SelectInterpreted survives as the test oracle that
+// equivalence suites pin it to, bit for bit.
 package expr
 
 import (
@@ -29,23 +29,23 @@ import (
 // single-slot cache would thrash on every alternation). The plan is
 // immutable after Compile and safe for concurrent use.
 type Compiled struct {
-	t          *dataset.Table
-	e          Expr
-	vectorized bool
-	binds      map[Expr]any // leaf node → *cmpBind / *betweenBind / *inBind
+	t     *dataset.Table
+	e     Expr
+	binds map[Expr]any // leaf node → *cmpBind / *betweenBind / *inBind
 }
 
-// Compile validates e against t and prepares the evaluation plan:
-// expressions built purely from this package's node types run
-// vectorized; anything else keeps the interpreted row loop. Validation
-// errors are exactly those of the interpreted path.
+// Compile validates e against t and prepares the evaluation plan.
+// Validation errors are exactly those of the interpreted path. A tree
+// that does not lower onto bitmap algebra — a comparison operator
+// outside Eq..Ge, or a node type from another package — is rejected;
+// the CADQL parser produces neither.
 func Compile(t *dataset.Table, e Expr) (*Compiled, error) {
 	if e != nil {
 		if err := e.Validate(t); err != nil {
 			return nil, err
 		}
 	}
-	c := &Compiled{t: t, e: e, vectorized: e == nil || vectorizable(e)}
+	c := &Compiled{t: t, e: e}
 	if e != nil {
 		c.binds = make(map[Expr]any)
 		if err := c.bindTree(e); err != nil {
@@ -55,12 +55,15 @@ func Compile(t *dataset.Table, e Expr) (*Compiled, error) {
 	return c, nil
 }
 
-// bindTree resolves every known leaf of the tree against the plan's
-// table and stores the bindings in the plan. Unknown node types are
-// skipped — the interpreted fallback binds them through the node caches.
+// bindTree resolves every leaf of the tree against the plan's table and
+// stores the bindings in the plan. Nodes the evaluator cannot lower are
+// errors.
 func (c *Compiled) bindTree(e Expr) error {
 	switch n := e.(type) {
 	case *Cmp:
+		if n.Op < Eq || n.Op > Ge {
+			return fmt.Errorf("expr: bad operator %d", int(n.Op))
+		}
 		b, err := n.resolve(c.t)
 		if err != nil {
 			return err
@@ -92,6 +95,8 @@ func (c *Compiled) bindTree(e Expr) error {
 		}
 	case *Not:
 		return c.bindTree(n.Kid)
+	default:
+		return fmt.Errorf("expr: %T cannot be compiled", e)
 	}
 	return nil
 }
@@ -120,39 +125,6 @@ func (c *Compiled) inBindFor(n *In) (*inBind, error) {
 	return n.bindTo(c.t)
 }
 
-// Vectorized reports whether evaluation runs on the bitmap path.
-func (c *Compiled) Vectorized() bool { return c.vectorized }
-
-// vectorizable reports whether every node of the tree maps onto bitmap
-// algebra. Comparison operators outside the known range are left to the
-// interpreter so its per-row error surfaces unchanged.
-func vectorizable(e Expr) bool {
-	switch n := e.(type) {
-	case *Cmp:
-		return n.Op >= Eq && n.Op <= Ge
-	case *Between, *In:
-		return true
-	case *And:
-		for _, k := range n.Kids {
-			if !vectorizable(k) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		for _, k := range n.Kids {
-			if !vectorizable(k) {
-				return false
-			}
-		}
-		return true
-	case *Not:
-		return vectorizable(n.Kid)
-	default:
-		return false
-	}
-}
-
 // Bitmap evaluates the predicate over the whole table and returns the
 // matching row set as a bitmap. The result is owned by the caller:
 // single-leaf plans whose evaluation would alias an index posting bitmap
@@ -163,13 +135,6 @@ func (c *Compiled) Bitmap() (*dataset.Bitmap, error) {
 	if c.e == nil {
 		return dataset.FullBitmap(ix.Rows()), nil
 	}
-	if !c.vectorized {
-		rows, err := selectScan(c.t, dataset.AllRows(c.t.NumRows()), c.e)
-		if err != nil {
-			return nil, err
-		}
-		return dataset.FromRowSet(c.t.NumRows(), rows), nil
-	}
 	bm, shared, err := c.evalBitmap(ix, c.e)
 	if err != nil {
 		return nil, err
@@ -178,63 +143,6 @@ func (c *Compiled) Bitmap() (*dataset.Bitmap, error) {
 		bm = bm.Clone()
 	}
 	return bm, nil
-}
-
-// Select returns the rows of the input set satisfying the predicate, in
-// input order — exactly what the interpreted row loop returns.
-func (c *Compiled) Select(rows dataset.RowSet) (dataset.RowSet, error) {
-	if c.e == nil {
-		return rows.Clone(), nil
-	}
-	if !c.vectorized {
-		return selectScan(c.t, rows, c.e)
-	}
-	bm, _, err := c.evalBitmap(c.t.Index(), c.e)
-	if err != nil {
-		return nil, err
-	}
-	// The full-table row set unpacks straight from the bitmap — but only
-	// when the input really is {0..n-1} in order. Length alone does not
-	// establish that (an unsorted or duplicated input of length n would
-	// silently come back re-ordered), so verify; the scan exits at the
-	// first mismatch and genuine subsets pay O(1).
-	if rows.IsAllRows(bm.Universe()) {
-		return bm.ToRowSet(), nil
-	}
-	// Genuine subsets filter segment-hoisted: one container dispatch per
-	// run of rows in a segment, not one two-level lookup per row.
-	return bm.FilterRowSet(rows), nil
-}
-
-// SelectAll returns the full-table rows satisfying the predicate —
-// exactly Select(dataset.AllRows(t.NumRows())), without materializing a
-// row id per table row just to verify and discard it. Statement
-// execution starts every WHERE from the whole table, so the input set
-// was pure overhead: the vectorized path unpacks the result bitmap
-// directly, and the interpreted path scans row ids instead of a slice.
-func (c *Compiled) SelectAll() (dataset.RowSet, error) {
-	n := c.t.NumRows()
-	if c.e == nil {
-		return dataset.AllRows(n), nil
-	}
-	if !c.vectorized {
-		out := make(dataset.RowSet, 0, n)
-		for r := 0; r < n; r++ {
-			ok, err := c.e.Eval(c.t, r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	}
-	bm, _, err := c.evalBitmap(c.t.Index(), c.e)
-	if err != nil {
-		return nil, err
-	}
-	return bm.ToRowSet(), nil
 }
 
 // evalBitmap recursively lowers the expression to bitmap algebra. The
@@ -352,7 +260,7 @@ func (c *Compiled) evalBitmap(ix *dataset.Index, e Expr) (bm *dataset.Bitmap, sh
 		}
 		return kb.Not(), false, nil
 	default:
-		return nil, false, fmt.Errorf("expr: %T is not vectorizable", e)
+		return nil, false, fmt.Errorf("expr: %T cannot be compiled", e)
 	}
 }
 
@@ -388,7 +296,7 @@ func (c *Compiled) orderByEstimate(ix *dataset.Index, kids []Expr) []Expr {
 // the minimum child, Or the capped sum, Not the complement — which is
 // all the planner needs: only the relative order of And children
 // matters, and the bounds preserve it. Nodes the planner cannot price
-// (bind failures, foreign node types) estimate as the full universe, so
+// (bind failures) estimate as the full universe, so
 // they sort last and never mask a cheap leaf.
 func (c *Compiled) estimate(ix *dataset.Index, e Expr) int {
 	n := ix.Rows()
@@ -476,9 +384,6 @@ func (c *Compiled) estimate(ix *dataset.Index, e Expr) int {
 func (c *Compiled) Explain() string {
 	if c.e == nil {
 		return "true (select everything)"
-	}
-	if !c.vectorized {
-		return "interpreted (row scan): " + c.e.String()
 	}
 	var b strings.Builder
 	c.explainNode(c.t.Index(), c.e, 0, &b)

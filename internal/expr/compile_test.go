@@ -91,8 +91,8 @@ func TestCompiledSelectMatchesInterpreter(t *testing.T) {
 	all := dataset.AllRows(tbl.NumRows())
 	for trial := 0; trial < 300; trial++ {
 		e := randomExpr(rng, 3)
-		// Alternate between the full universe and a random subset, which
-		// exercises both the ToRowSet fast path and the Contains filter.
+		// Alternate between the full universe and a random subset, whose
+		// rows filterRows keeps in input order.
 		rows := all
 		if trial%2 == 1 {
 			rows = rows[:0:0]
@@ -106,7 +106,7 @@ func TestCompiledSelectMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: interpreter failed on %s: %v", trial, e, err)
 		}
-		got, err := Select(tbl, rows, e)
+		got, err := selectRows(tbl, rows, e)
 		if err != nil {
 			t.Fatalf("trial %d: compiled failed on %s: %v", trial, e, err)
 		}
@@ -119,61 +119,78 @@ func TestCompiledSelectMatchesInterpreter(t *testing.T) {
 func TestCompileNilAndVacuous(t *testing.T) {
 	tbl := equivTable(50, 1)
 	rows := dataset.RowSet{3, 17, 40}
-	got, err := Select(tbl, rows, nil)
+	got, err := selectRows(tbl, rows, nil)
 	if err != nil || !reflect.DeepEqual(got, rows) {
 		t.Fatalf("nil expr: got %v, %v", got, err)
 	}
 	// Empty AND is vacuously true, empty OR vacuously false — matching
 	// the interpreter's fold identities.
-	gotAnd, err := Select(tbl, rows, &And{})
+	gotAnd, err := selectRows(tbl, rows, &And{})
 	if err != nil || !reflect.DeepEqual(gotAnd, rows) {
 		t.Fatalf("empty AND: got %v, %v", gotAnd, err)
 	}
-	gotOr, err := Select(tbl, rows, &Or{})
+	gotOr, err := selectRows(tbl, rows, &Or{})
 	if err != nil || len(gotOr) != 0 {
 		t.Fatalf("empty OR: got %v, %v", gotOr, err)
 	}
 }
 
-// oddRows is an Expr foreign to this package: Compile cannot vectorize
-// it and must fall back to the interpreted scan.
+// oddRows is an Expr foreign to this package: Compile cannot lower it
+// to bitmap algebra and must reject it.
 type oddRows struct{}
 
 func (oddRows) Eval(t *dataset.Table, row int) (bool, error) { return row%2 == 1, nil }
 func (oddRows) Validate(t *dataset.Table) error              { return nil }
 func (oddRows) String() string                               { return "oddRows" }
 
-func TestCompileFallbackForForeignExpr(t *testing.T) {
+// TestCompileRejectsForeignExpr: a tree the evaluator cannot lower — a
+// foreign node type anywhere in it, or a comparison operator outside
+// Eq..Ge — is a Compile error.
+func TestCompileRejectsForeignExpr(t *testing.T) {
 	tbl := equivTable(10, 2)
-	c, err := Compile(tbl, oddRows{})
+	for name, e := range map[string]Expr{
+		"foreign":        oddRows{},
+		"foreign-nested": &And{Kids: []Expr{&Cmp{Attr: "Make", Op: Eq, Str: "Ford"}, &Not{Kid: oddRows{}}}},
+		"bad-operator":   &Cmp{Attr: "Price", Op: Ge + 1, Num: 1},
+	} {
+		if c, err := Compile(tbl, e); err == nil {
+			t.Errorf("%s: Compile accepted %s (plan %p)", name, e, c)
+		}
+	}
+}
+
+// selectRows compiles e and keeps the input rows, in input order, that
+// the compiled bitmap contains — the row-set view of Compiled.Bitmap the
+// tests compare against SelectInterpreted.
+func selectRows(tbl *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
+	c, err := Compile(tbl, e)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if c.Vectorized() {
-		t.Fatal("foreign Expr reported as vectorized")
-	}
-	got, err := c.Select(dataset.AllRows(tbl.NumRows()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, dataset.RowSet{1, 3, 5, 7, 9}) {
-		t.Fatalf("fallback selected %v", got)
-	}
-	// And the Bitmap entry point goes through the same scan.
+	return filterRows(c, rows)
+}
+
+// filterRows evaluates c through Compiled.Bitmap and keeps the input
+// rows it contains, in input order.
+func filterRows(c *Compiled, rows dataset.RowSet) (dataset.RowSet, error) {
 	bm, err := c.Bitmap()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if !reflect.DeepEqual(bm.ToRowSet(), got) {
-		t.Fatalf("fallback Bitmap selected %v", bm.ToRowSet())
+	out := make(dataset.RowSet, 0, len(rows))
+	for _, r := range rows {
+		if bm.Contains(r) {
+			out = append(out, r)
+		}
 	}
+	return out, nil
 }
 
 // TestCompileUnknownAttrError pins error parity between the two paths.
 func TestCompileUnknownAttrError(t *testing.T) {
 	tbl := equivTable(10, 3)
 	e := &Cmp{Attr: "Nope", Op: Eq, Str: "x"}
-	_, errC := Select(tbl, nil, e)
+	_, errC := selectRows(tbl, nil, e)
 	_, errI := SelectInterpreted(tbl, nil, e)
 	if errC == nil || errI == nil || errC.Error() != errI.Error() {
 		t.Fatalf("error mismatch: compiled %v, interpreted %v", errC, errI)
@@ -188,12 +205,12 @@ func TestBindRefreshAfterAppend(t *testing.T) {
 	})
 	tbl.MustAppendRow("Ford")
 	e := &Cmp{Attr: "Make", Op: Eq, Str: "Jeep"}
-	got, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	got, err := selectRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("before append: %v, %v", got, err)
 	}
 	tbl.MustAppendRow("Jeep")
-	got, err = Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	got, err = selectRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil || !reflect.DeepEqual(got, dataset.RowSet{1}) {
 		t.Fatalf("after append: %v, %v", got, err)
 	}

@@ -24,23 +24,12 @@ type Expr interface {
 	String() string
 }
 
-// Select evaluates e over the given rows and returns those that satisfy
-// it. A nil expression selects every row. Predicates built from the
-// node types of this package compile to bitmap algebra over the table's
-// posting index (see Compile); anything else falls back to the
-// row-at-a-time interpreter. Both paths return identical row sets.
-func Select(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
-	c, err := Compile(t, e)
-	if err != nil {
-		return nil, err
-	}
-	return c.Select(rows)
-}
-
 // SelectInterpreted is the row-at-a-time reference evaluator: it walks
-// the expression tree once per row through interface dispatch. Select
-// produces exactly the same row sets through the compiled path;
-// equivalence tests and benchmarks pin the two together.
+// the expression tree once per row through interface dispatch and
+// returns the rows that satisfy e, in input order. A nil expression
+// selects every row. Compile(…).Bitmap produces exactly the same row
+// sets as bitmap algebra; equivalence tests and benchmarks pin the two
+// together.
 func SelectInterpreted(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
 	if e == nil {
 		return rows.Clone(), nil
@@ -48,12 +37,6 @@ func SelectInterpreted(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.R
 	if err := e.Validate(t); err != nil {
 		return nil, err
 	}
-	return selectScan(t, rows, e)
-}
-
-// selectScan runs the interpreted row loop over an already-validated
-// expression.
-func selectScan(t *dataset.Table, rows dataset.RowSet, e Expr) (dataset.RowSet, error) {
 	out := make(dataset.RowSet, 0, len(rows))
 	for _, r := range rows {
 		ok, err := e.Eval(t, r)

@@ -34,9 +34,9 @@ func testTable(t *testing.T) *dataset.Table {
 
 func mustSelect(t *testing.T, tbl *dataset.Table, e Expr) dataset.RowSet {
 	t.Helper()
-	rows, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	rows, err := selectRows(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil {
-		t.Fatalf("Select(%v): %v", e, err)
+		t.Fatalf("selectRows(%v): %v", e, err)
 	}
 	return rows
 }
@@ -59,7 +59,7 @@ func TestCmpCategorical(t *testing.T) {
 	if ne.Len() != 4 {
 		t.Errorf("Make!=Jeep selected %v", ne)
 	}
-	if _, err := Select(tbl, dataset.AllRows(6), &Cmp{Attr: "Make", Op: Lt, Str: "Jeep"}); err == nil {
+	if _, err := selectRows(tbl, dataset.AllRows(6), &Cmp{Attr: "Make", Op: Lt, Str: "Jeep"}); err == nil {
 		t.Error("Make < x should be rejected")
 	}
 }
@@ -97,7 +97,7 @@ func TestBetween(t *testing.T) {
 	if got.Len() != 2 {
 		t.Errorf("inclusive BETWEEN selected %v", got)
 	}
-	if _, err := Select(tbl, dataset.AllRows(6), &Between{Attr: "Make", Lo: 0, Hi: 1}); err == nil {
+	if _, err := selectRows(tbl, dataset.AllRows(6), &Between{Attr: "Make", Lo: 0, Hi: 1}); err == nil {
 		t.Error("BETWEEN on categorical should be rejected")
 	}
 }
@@ -112,7 +112,7 @@ func TestIn(t *testing.T) {
 	if got.Len() != 0 {
 		t.Errorf("empty IN selected %v", got)
 	}
-	if _, err := Select(tbl, dataset.AllRows(6), &In{Attr: "Price", Values: []string{"x"}}); err == nil {
+	if _, err := selectRows(tbl, dataset.AllRows(6), &In{Attr: "Price", Values: []string{"x"}}); err == nil {
 		t.Error("IN on numeric should be rejected")
 	}
 }
@@ -139,7 +139,7 @@ func TestBooleanCombinators(t *testing.T) {
 	}
 	// Validation errors propagate through combinators.
 	bad := &And{Kids: []Expr{&Cmp{Attr: "Nope", Op: Eq, Str: "x"}}}
-	if _, err := Select(tbl, dataset.AllRows(6), bad); err == nil {
+	if _, err := selectRows(tbl, dataset.AllRows(6), bad); err == nil {
 		t.Error("unknown attribute inside AND should be rejected")
 	}
 	bad2 := &Or{Kids: []Expr{&Cmp{Attr: "Nope", Op: Eq, Str: "x"}}}
@@ -189,8 +189,8 @@ func TestDeMorganProperty(t *testing.T) {
 		b := &Cmp{Attr: "Mileage", Op: Lt, Num: float64(hi)}
 		lhs := &Not{Kid: &And{Kids: []Expr{a, b}}}
 		rhs := &Or{Kids: []Expr{&Not{Kid: a}, &Not{Kid: b}}}
-		r1, err1 := Select(tbl, dataset.AllRows(tbl.NumRows()), lhs)
-		r2, err2 := Select(tbl, dataset.AllRows(tbl.NumRows()), rhs)
+		r1, err1 := selectRows(tbl, dataset.AllRows(tbl.NumRows()), lhs)
+		r2, err2 := selectRows(tbl, dataset.AllRows(tbl.NumRows()), rhs)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -211,7 +211,7 @@ func TestSelectMonotoneProperty(t *testing.T) {
 		sub := dataset.AllRows(tbl.NumRows()).Filter(func(r int) bool {
 			return mask&(1<<uint(r%8)) != 0
 		})
-		got, err := Select(tbl, sub, e)
+		got, err := selectRows(tbl, sub, e)
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,6 @@
 package expr
 
-// Regression tests for the serving-path hardening: the Select full-set
-// fast path must verify its input really is {0..n-1}, compiled results
+// Regression tests for the serving-path hardening: compiled results
 // must never alias index-owned posting bitmaps across the public API,
 // and per-plan bindings must not thrash the node-level cache when one
 // parsed expression serves two tables. TestMain arms the dataset alias
@@ -19,52 +18,6 @@ import (
 func TestMain(m *testing.M) {
 	dataset.SetAliasGuard(true)
 	os.Exit(m.Run())
-}
-
-// TestSelectAdversarialRowSets pins Select's behavior on inputs whose
-// length equals the table size without being {0..n-1}: an unsorted
-// permutation and a duplicated multiset. The old fast path keyed on
-// length alone and would have returned a silently re-ordered,
-// de-duplicated answer; the interpreter is the contract.
-func TestSelectAdversarialRowSets(t *testing.T) {
-	tbl := equivTable(300, 11)
-	n := tbl.NumRows()
-	e := &Cmp{Attr: "Make", Op: Eq, Str: "Ford"}
-	c, err := Compile(tbl, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reversed := make(dataset.RowSet, n)
-	for i := range reversed {
-		reversed[i] = n - 1 - i
-	}
-	duplicated := make(dataset.RowSet, 0, n)
-	for i := 0; i < n/2; i++ {
-		duplicated = append(duplicated, i, i)
-	}
-	almostAll := dataset.AllRows(n)
-	almostAll[n-1] = 0 // sorted, duplicated head, right length
-
-	for name, rows := range map[string]dataset.RowSet{
-		"reversed":   reversed,
-		"duplicated": duplicated,
-		"almost-all": almostAll,
-		"all":        dataset.AllRows(n),
-	} {
-		want, err := SelectInterpreted(tbl, rows, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Select(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: compiled Select diverged from interpreter\n got %v\nwant %v",
-				name, got[:min(10, len(got))], want[:min(10, len(want))])
-		}
-	}
 }
 
 // TestBitmapResultIsCallerOwned pins the aliasing fix: the bitmap from a
@@ -157,7 +110,7 @@ func TestCompiledPlansDoNotThrashNodeCache(t *testing.T) {
 
 // TestCompiledConcurrentUse evaluates one Compiled plan from many
 // goroutines under -race: the plan is immutable after Compile, so
-// concurrent Bitmap/Select must be safe and bit-identical.
+// concurrent Bitmap calls must be safe and bit-identical.
 func TestCompiledConcurrentUse(t *testing.T) {
 	tbl := equivTable(500, 9)
 	e := &Or{Kids: []Expr{
@@ -171,7 +124,7 @@ func TestCompiledConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Select(dataset.AllRows(tbl.NumRows()))
+	want, err := filterRows(c, dataset.AllRows(tbl.NumRows()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +135,9 @@ func TestCompiledConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				got, err := c.Select(dataset.AllRows(tbl.NumRows()))
+				got, err := filterRows(c, dataset.AllRows(tbl.NumRows()))
 				if err != nil || !reflect.DeepEqual(got, want) {
-					errs <- "concurrent Select diverged"
+					errs <- "concurrent Bitmap diverged"
 					return
 				}
 			}

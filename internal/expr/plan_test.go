@@ -92,11 +92,11 @@ func TestAndOrderedCheapestFirst(t *testing.T) {
 	}
 	// Reordering must not change the result: compare with the
 	// interpreter on the same tree.
-	got, err := c.Select(dataset.AllRows(tbl.NumRows()))
+	got, err := filterRows(c, dataset.AllRows(tbl.NumRows()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	want, err := SelectInterpreted(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestAndShortCircuitsOnEmpty(t *testing.T) {
 	if bm.Len() != 0 {
 		t.Fatalf("impossible conjunction returned %d rows", bm.Len())
 	}
-	want, err := Select(tbl, dataset.AllRows(tbl.NumRows()), e)
+	want, err := SelectInterpreted(tbl, dataset.AllRows(tbl.NumRows()), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +135,8 @@ func TestAndShortCircuitsOnEmpty(t *testing.T) {
 	}
 }
 
-// TestExplainForms covers the two non-plan renderings: the nil
-// (select-everything) predicate and the interpreted fallback for foreign
-// node types.
+// TestExplainForms covers the nil (select-everything) rendering and a
+// nested plan tree.
 func TestExplainForms(t *testing.T) {
 	tbl := skewTable(10)
 	c, err := Compile(tbl, nil)
@@ -146,13 +145,6 @@ func TestExplainForms(t *testing.T) {
 	}
 	if got := c.Explain(); got != "true (select everything)" {
 		t.Fatalf("nil plan explain = %q", got)
-	}
-	c, err = Compile(tbl, oddRows{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Explain(); !strings.HasPrefix(got, "interpreted (row scan)") {
-		t.Fatalf("foreign expr explain = %q", got)
 	}
 	// A nested tree renders one line per node with estimates.
 	c, err = Compile(tbl, &Or{Kids: []Expr{
@@ -188,11 +180,11 @@ func TestCostOrderingEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Select(all)
+		got, err := filterRows(c, all)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Select(tbl, all, e)
+		want, err := SelectInterpreted(tbl, all, e)
 		if err != nil {
 			t.Fatal(err)
 		}

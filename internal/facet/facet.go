@@ -259,7 +259,6 @@ func valueVector(s *AttrSummary) map[string]float64 {
 // user study.
 type Session struct {
 	view *dataview.View
-	base dataset.RowSet
 
 	// mu guards every mutable field below. Selection changes and digest
 	// refreshes may come from concurrent goroutines (one server session
@@ -270,7 +269,8 @@ type Session struct {
 	selected map[string]map[int]bool // attr -> selected codes
 	order    []string                // selection order for rendering
 
-	// Incremental state: the base set packed once as a bitmap, one
+	// Incremental state: the base set packed once as a bitmap (the only
+	// copy of it the session keeps), one
 	// cached filter bitmap per selected attribute (the OR of that
 	// attribute's selected posting bitmaps), and the memoized current
 	// result bitmap. Adding or removing one facet selection invalidates
@@ -286,7 +286,8 @@ type Session struct {
 // session's universe is the view's row snapshot — not the live table row
 // count, which may already have grown past the view under concurrent
 // ingest — so every bitmap the session caches stays compatible with the
-// view's posting sets. base must lie within that snapshot.
+// view's posting sets. base must lie within that snapshot; it is taken
+// as a set, so every read returns rows in ascending order.
 func NewSession(v *dataview.View, base dataset.RowSet) *Session {
 	n := v.Rows()
 	var bm *dataset.Bitmap
@@ -301,7 +302,6 @@ func NewSession(v *dataview.View, base dataset.RowSet) *Session {
 	}
 	return &Session{
 		view:     v,
-		base:     base.Clone(),
 		selected: make(map[string]map[int]bool),
 		universe: n,
 		baseBM:   bm,
@@ -468,10 +468,6 @@ func (s *Session) Selections() []struct {
 // sorted row set.
 func (s *Session) Rows() dataset.RowSet {
 	s.mu.Lock()
-	if len(s.selected) == 0 {
-		s.mu.Unlock()
-		return s.base.Clone()
-	}
 	bm := s.currentBitmap()
 	s.mu.Unlock()
 	return bm.ToRowSet()
@@ -484,20 +480,6 @@ func (s *Session) Rows() dataset.RowSet {
 func (s *Session) Page(offset, limit int) (dataset.RowSet, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.selected) == 0 {
-		total := len(s.base)
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > total {
-			offset = total
-		}
-		end := total
-		if limit >= 0 && offset+limit < end {
-			end = offset + limit
-		}
-		return append(dataset.RowSet(nil), s.base[offset:end]...), total
-	}
 	bm := s.currentBitmap()
 	return bm.Slice(offset, limit), bm.Len()
 }
@@ -507,9 +489,6 @@ func (s *Session) Page(offset, limit int) (dataset.RowSet, int) {
 func (s *Session) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.selected) == 0 {
-		return len(s.base)
-	}
 	return s.currentBitmap().Len()
 }
 

@@ -9,13 +9,13 @@ import (
 	"dbexplorer/internal/dataview"
 )
 
-// referenceRows recomputes the session's result set from scratch by
-// row scanning — no bitmaps, no caches — using the session's own
-// selections. It is the oracle the incremental path must match.
-func referenceRows(s *Session) dataset.RowSet {
-	out := make(dataset.RowSet, 0, len(s.base))
+// referenceRows recomputes the session's result set over base from
+// scratch by row scanning — no bitmaps, no caches — using the session's
+// own selections. It is the oracle the incremental path must match.
+func referenceRows(s *Session, base dataset.RowSet) dataset.RowSet {
+	out := make(dataset.RowSet, 0, len(base))
 rows:
-	for _, r := range s.base {
+	for _, r := range base {
 		for _, sel := range s.Selections() {
 			col, _ := s.view.Column(sel.Attr)
 			hit := false
@@ -36,8 +36,8 @@ rows:
 
 // TestSessionIncrementalEquivalence drives a session through random
 // Select / Deselect / ClearAttr / Reset sequences and checks after
-// every step that the incrementally maintained rows, count, digest,
-// and panel digest all equal a from-scratch recomputation.
+// every step that the incrementally maintained rows, pages, count,
+// digest, and panel digest all equal a from-scratch recomputation.
 func TestSessionIncrementalEquivalence(t *testing.T) {
 	tbl := dataset.NewTable("cars", dataset.Schema{
 		{Name: "Make", Kind: dataset.Categorical, Queriable: true},
@@ -89,7 +89,7 @@ func TestSessionIncrementalEquivalence(t *testing.T) {
 			}
 		}
 
-		want := referenceRows(s)
+		want := referenceRows(s, base)
 		got := s.Rows()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: rows diverged: incremental %d, reference %d", step, len(got), len(want))
@@ -97,6 +97,7 @@ func TestSessionIncrementalEquivalence(t *testing.T) {
 		if s.Count() != len(want) {
 			t.Fatalf("step %d: count %d, want %d", step, s.Count(), len(want))
 		}
+		checkPages(t, step, s, want)
 		wantDigest := Summarize(v, want, true)
 		if !reflect.DeepEqual(s.Digest().Attrs, wantDigest.Attrs) {
 			t.Fatalf("step %d: digest diverged from Summarize reference", step)
@@ -122,13 +123,43 @@ func TestSessionIncrementalEquivalence(t *testing.T) {
 						s.order = append(s.order, sl.Attr)
 					}
 				}
-				refExcl := referenceRows(s)
+				refExcl := referenceRows(s, base)
 				s.selected = saved
 				s.order = savedOrder
 				wantAS := Summarize(v, refExcl, true).Attr(as.Attr)
 				if !reflect.DeepEqual(&as, wantAS) {
 					t.Fatalf("step %d: panel digest for %q diverged", step, as.Attr)
 				}
+			}
+		}
+	}
+}
+
+// checkPages compares Session.Page against slices of the reference rows:
+// interior and boundary windows, a zero limit, a negative limit (to the
+// end), and an offset past the end. Pages compare element by element,
+// since an empty page may come back nil.
+func checkPages(t *testing.T, step int, s *Session, want dataset.RowSet) {
+	t.Helper()
+	n := len(want)
+	for _, w := range []struct{ off, lim int }{
+		{0, 10}, {n / 3, 7}, {n - 3, 10}, {0, n}, {n / 2, 0}, {0, -1}, {n / 2, -1}, {n + 5, 10}, {n + 5, -1},
+	} {
+		lo, hi := min(w.off, n), n
+		if w.lim >= 0 {
+			hi = min(w.off+w.lim, n)
+		}
+		hi = max(hi, lo)
+		got, total := s.Page(w.off, w.lim)
+		if total != n {
+			t.Fatalf("step %d: Page(%d, %d) total %d, want %d", step, w.off, w.lim, total, n)
+		}
+		if len(got) != hi-lo {
+			t.Fatalf("step %d: Page(%d, %d) returned %d rows, want %d", step, w.off, w.lim, len(got), hi-lo)
+		}
+		for i, r := range got {
+			if r != want[lo+i] {
+				t.Fatalf("step %d: Page(%d, %d)[%d] = %d, want %d", step, w.off, w.lim, i, r, want[lo+i])
 			}
 		}
 	}

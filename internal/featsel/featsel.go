@@ -32,12 +32,6 @@ type Score struct {
 	PValue float64
 }
 
-// Ranker orders candidate attributes by relevance to a class attribute
-// over a row subset. Rankers are context-aware: long contingency sweeps
-// are expected to honor ctx cancellation (ChiSquareContext and
-// MutualInformationContext are the canonical implementations).
-type Ranker func(ctx context.Context, v *dataview.View, rows dataset.RowSet, classAttr string, candidates []string) ([]Score, error)
-
 // classCodes extracts the class code of each row, remapped densely so
 // only classes present in rows occupy contingency-table columns.
 func classCodes(v *dataview.View, rows dataset.RowSet, classAttr string) ([]int, int, error) {

@@ -145,7 +145,7 @@ func TestReliefFRanking(t *testing.T) {
 func TestRankerErrors(t *testing.T) {
 	v, rows := syntheticView(t, 50, 5)
 	ctx := context.Background()
-	for name, r := range map[string]Ranker{
+	for name, r := range map[string]func(context.Context, *dataview.View, dataset.RowSet, string, []string) ([]Score, error){
 		"ChiSquare":         ChiSquareContext,
 		"MutualInformation": MutualInformationContext,
 	} {

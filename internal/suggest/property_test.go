@@ -195,3 +195,63 @@ func TestSuggestZeroRowScans(t *testing.T) {
 		}
 	}
 }
+
+// TestDrillOnStaleView pins drill-down to the view's row snapshot: after
+// rows are appended to the table, a suggester over the view made before
+// the append must still answer, with every value count equal to a scan
+// over the view's rows — not the live table's.
+func TestDrillOnStaleView(t *testing.T) {
+	tbl := datagen.UsedCars(1500, 1)
+	v, err := dataview.New(tbl, dataview.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildModel(context.Background(), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(v, m)
+	donor := datagen.UsedCars(100, 2)
+	schema := donor.Schema()
+	for r := 0; r < donor.NumRows(); r++ {
+		row := make([]any, len(schema))
+		for i := range schema {
+			if c := donor.Cat(i); c != nil {
+				row[i] = c.Value(r)
+			} else {
+				row[i] = donor.Num(i).Value(r)
+			}
+		}
+		tbl.MustAppendRow(row...)
+	}
+	if tbl.NumRows() == v.Rows() {
+		t.Fatal("append did not grow the table past the view's snapshot")
+	}
+
+	mk := tbl.Cat(tbl.ColIndex("Make")).Value(0)
+	sels := []Selection{{Attr: "Make", Values: []string{mk}}}
+	d, err := s.Drill(context.Background(), sels, Options{Limit: 100, MaxValues: 100, IncludeDeadEnds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var survivors []int
+	for _, r := range bruteForceRows(tbl, s, sels) {
+		if r < v.Rows() {
+			survivors = append(survivors, r)
+		}
+	}
+	if d.Total != len(survivors) {
+		t.Fatalf("total = %d, scan over the view's rows = %d", d.Total, len(survivors))
+	}
+	if len(d.Attrs) == 0 {
+		t.Fatal("no attributes recommended")
+	}
+	for _, a := range d.Attrs {
+		want := bruteForceValueCounts(t, tbl, s, a.Attr, survivors)
+		for _, vs := range a.Values {
+			if vs.Count != want[vs.Value] {
+				t.Errorf("%s=%s count = %d, scan over the view's rows = %d", a.Attr, vs.Value, vs.Count, want[vs.Value])
+			}
+		}
+	}
+}

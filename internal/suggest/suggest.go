@@ -65,7 +65,7 @@ func (m *Model) Dependencies() []fd.Dependency { return m.deps }
 // skipped for lack of attributes).
 func (m *Model) Network() *bayesnet.Network { return m.net }
 
-// BuildModel mines the model from the view's full table: one FD sweep
+// BuildModel mines the model from the view's row snapshot: one FD sweep
 // and one Chow-Liu learn over the queriable attributes. This is the one
 // deliberately row-scanning part of the package — it runs once per
 // dataset registration, off the request hot path (the serving layer
@@ -78,7 +78,7 @@ func BuildModel(ctx context.Context, v *dataview.View) (*Model, error) {
 	if len(attrs) < 2 {
 		return nil, fmt.Errorf("suggest: need at least 2 queriable attributes, got %d", len(attrs))
 	}
-	rows := dataset.AllRows(v.Table().NumRows())
+	rows := dataset.AllRows(v.Rows())
 	deps, err := fd.Discover(v, rows, attrs, fd.Options{MaxError: fdMaxError})
 	if err != nil {
 		return nil, fmt.Errorf("suggest: FD mining: %w", err)
@@ -115,16 +115,19 @@ func queriableAttrs(v *dataview.View) []string {
 // the lazy posting builds it triggers are internally synchronized.
 type Suggester struct {
 	view  *dataview.View
-	base  *dataset.Bitmap // full-table universe
+	base  *dataset.Bitmap // every row of the view's snapshot
 	model *Model          // nil = degraded (selectivity-only)
 }
 
-// New builds a Suggester over the view. model may be nil: the service
-// then runs degraded — selectivity ranking only, no interestingness.
+// New builds a Suggester over the view's row snapshot — not the live
+// table, which may already have grown past the view under concurrent
+// ingest — so its bitmaps stay compatible with the view's posting sets.
+// model may be nil: the service then runs degraded — selectivity
+// ranking only, no interestingness.
 func New(v *dataview.View, model *Model) *Suggester {
 	return &Suggester{
 		view:  v,
-		base:  dataset.FullBitmap(v.Table().NumRows()),
+		base:  dataset.FullBitmap(v.Rows()),
 		model: model,
 	}
 }

@@ -120,20 +120,22 @@ func TestAppendBoundaryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRows, err := gotC.Select(rows)
+			gotBM, err := gotC.Bitmap()
 			if err != nil {
 				t.Fatal(err)
 			}
+			gotRows := gotBM.ToRowSet()
 			wantC, err := expr.Compile(ref, e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRows, err := wantC.Select(rows)
+			wantBM, err := wantC.Bitmap()
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantRows := wantBM.ToRowSet()
 			if !reflect.DeepEqual([]int(gotRows), []int(wantRows)) {
-				t.Fatalf("compiled Select over the extended index selects %d rows, reference %d", len(gotRows), len(wantRows))
+				t.Fatalf("compiled Bitmap over the extended index selects %d rows, reference %d", len(gotRows), len(wantRows))
 			}
 
 			// Facet digests: the posting-bitmap session path (which adopts
@@ -207,16 +209,17 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			coldPlan := cold.Explain()
-			coldRows, err := cold.Select(rows)
+			coldBM, err := cold.Bitmap()
 			if err != nil {
 				t.Fatal(err)
 			}
+			coldRows := coldBM.ToRowSet()
 			wantRows, err := expr.SelectInterpreted(tbl, rows, e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual([]int(coldRows), []int(wantRows)) {
-				t.Fatalf("compiled Select disagrees with interpreter: %d vs %d rows", len(coldRows), len(wantRows))
+				t.Fatalf("compiled Bitmap disagrees with interpreter: %d vs %d rows", len(coldRows), len(wantRows))
 			}
 			warm, err := expr.Compile(tbl, e)
 			if err != nil {
@@ -225,12 +228,13 @@ func TestSegmentBoundaryEquivalence(t *testing.T) {
 			if plan := warm.Explain(); plan != coldPlan {
 				t.Fatalf("plan changed after index warm-up:\ncold: %s\nwarm: %s", coldPlan, plan)
 			}
-			warmRows, err := warm.Select(rows)
+			warmBM, err := warm.Bitmap()
 			if err != nil {
 				t.Fatal(err)
 			}
+			warmRows := warmBM.ToRowSet()
 			if !reflect.DeepEqual([]int(warmRows), []int(coldRows)) {
-				t.Fatal("warm Select disagrees with cold Select")
+				t.Fatal("warm Bitmap disagrees with cold Bitmap")
 			}
 
 			// Facet digest vs independent references: categorical
