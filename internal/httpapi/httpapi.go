@@ -38,6 +38,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,6 +50,7 @@ import (
 	"dbexplorer/internal/dataview"
 	"dbexplorer/internal/facet"
 	"dbexplorer/internal/fault"
+	"dbexplorer/internal/jsonw"
 	"dbexplorer/internal/metrics"
 	"dbexplorer/internal/parallel"
 	"dbexplorer/internal/suggest"
@@ -153,16 +155,16 @@ func (e *datasetEntry) snapshot() (*dataview.View, dataset.RowSet) {
 }
 
 // builtView is one cached CAD View build: the view, its stage timings,
-// the base text rendering (Render ignores the per-request name, so the
-// text is shared verbatim across cache hits), and the row/epoch
-// snapshot it was built from, so cache hits can report how many rows
-// have been appended since.
+// the base text rendering already quoted and escaped as a JSON string
+// (Render ignores the per-request name, so the text is shared verbatim
+// across cache hits), and the row/epoch snapshot it was built from, so
+// cache hits can report how many rows have been appended since.
 type builtView struct {
-	view  *core.CADView
-	tm    core.Timings
-	text  string
-	epoch uint64
-	rows  int
+	view     *core.CADView
+	tm       core.Timings
+	textJSON []byte
+	epoch    uint64
+	rows     int
 }
 
 // storedCAD is one interactive CAD View held under an id for
@@ -728,35 +730,24 @@ func (s *Server) handleCAD(ctx context.Context, ds *datasetEntry, w http.Respons
 		return errFromBuild(err)
 	}
 	id := s.storeCAD(ds, bv.view)
-	// The cached view is shared across requests; give each response its
-	// own id without mutating the shared struct.
-	out := *bv.view
-	out.Name = id
-	resp := map[string]any{
-		"id":      id,
-		"view":    &out,
-		"text":    bv.text,
-		"cached":  cached,
-		"buildMs": float64(bv.tm.Total().Microseconds()) / 1e3,
-		"timings": timingsJSON(bv.tm),
-	}
 	// Epoch-aware stale serve: a cache hit built before rows were
 	// appended still answers immediately, flagged with how many rows it
 	// is missing, while a singleflight background rebuild refreshes the
 	// entry (see DESIGN.md §15 for the contract).
+	var stale []byte
 	if cached {
 		v, _ := ds.snapshot()
 		if t := v.Table(); t.Epoch() != bv.epoch {
-			stale := t.NumRows() - bv.rows
-			if stale < 0 {
-				stale = 0
-			}
-			resp["stale"] = stale
+			stale = strconv.AppendInt(nil, int64(max(t.NumRows()-bv.rows, 0)), 10)
 			s.staleServed.Inc()
 			s.refreshCAD(ds, key, &req)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, err := appendCADResponse(nil, bv, id, cached, false, stale)
+	if err != nil {
+		return errInternal()
+	}
+	writeBody(w, http.StatusOK, body)
 	return nil
 }
 
@@ -781,32 +772,88 @@ func (s *Server) shedCAD(_ context.Context, ds *datasetEntry, w http.ResponseWri
 	}
 	s.staleServed.Inc()
 	id := s.storeCAD(ds, bv.view)
-	out := *bv.view
-	out.Name = id
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":      id,
-		"view":    &out,
-		"text":    bv.text,
-		"cached":  true,
-		"stale":   stale,
-		"shed":    true,
-		"buildMs": float64(bv.tm.Total().Microseconds()) / 1e3,
-		"timings": timingsJSON(bv.tm),
-	})
+	body, err := appendCADResponse(nil, bv, id, true, true, strconv.AppendBool(nil, stale))
+	if err != nil {
+		writeAPIError(w, errInternal())
+		return true
+	}
+	writeBody(w, http.StatusOK, body)
 	return true
 }
 
-func timingsJSON(tm core.Timings) map[string]float64 {
-	out := make(map[string]float64, 8)
+// appendCADResponse appends the /cad answer for bv under the
+// per-response id: the bytes json.NewEncoder(w).Encode writes for the
+// map {buildMs, cached, id, shed, stale, text, timings, view}, keys in
+// sorted order and a trailing newline. shed is written only when true
+// and stale, an encoded JSON value, only when non-nil. The view is the
+// shared cached one written under the id as its name; the text is
+// bv's pre-escaped rendering. A non-finite float in the view fails the
+// encode.
+func appendCADResponse(dst []byte, bv *builtView, id string, cached, shed bool, stale []byte) ([]byte, error) {
+	// Room for everything up to the view, which grows the buffer itself.
+	b := append(slices.Grow(dst, len(bv.textJSON)+1024), `{"buildMs":`...)
+	b = appendMs(b, bv.tm.Total())
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, `,"id":`...)
+	b = jsonw.AppendString(b, id)
+	if shed {
+		b = append(b, `,"shed":true`...)
+	}
+	if stale != nil {
+		b = append(b, `,"stale":`...)
+		b = append(b, stale...)
+	}
+	b = append(b, `,"text":`...)
+	b = append(b, bv.textJSON...)
+	b = append(b, `,"timings":`...)
+	b = appendTimings(b, bv.tm)
+	b = append(b, `,"view":`...)
+	// The cached view is shared across requests; give each response its
+	// own id without mutating the shared struct.
+	out := *bv.view
+	out.Name = id
+	b, err := out.AppendJSON(b)
+	if err != nil {
+		return dst, err
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendTimings writes the build's stage timings as a JSON object with
+// sorted keys: "<stage>Ms" per build stage, plus "cluster_<stage>Ms" for
+// the cluster stage's sub-breakdown (additive keys; their sum plus
+// encoding time equals clusterMs).
+func appendTimings(b []byte, tm core.Timings) []byte {
+	type stage struct {
+		key string
+		d   time.Duration
+	}
+	var stages []stage
 	for _, st := range tm.Stages() {
-		out[st.Name+"Ms"] = float64(st.D.Microseconds()) / 1e3
+		stages = append(stages, stage{st.Name + "Ms", st.D})
 	}
-	// Sub-breakdown of the cluster stage (additive keys; their sum plus
-	// encoding time equals clusterMs).
 	for _, st := range tm.ClusterDetail.Stages() {
-		out["cluster_"+st.Name+"Ms"] = float64(st.D.Microseconds()) / 1e3
+		stages = append(stages, stage{"cluster_" + st.Name + "Ms", st.D})
 	}
-	return out
+	sort.Slice(stages, func(i, j int) bool { return stages[i].key < stages[j].key })
+	b = append(b, '{')
+	for i, st := range stages {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonw.AppendString(b, st.key)
+		b = append(b, ':')
+		b = appendMs(b, st.d)
+	}
+	return append(b, '}')
+}
+
+// appendMs writes d in milliseconds at microsecond resolution, a number
+// that is always finite.
+func appendMs(b []byte, d time.Duration) []byte {
+	b, _ = jsonw.AppendFloat(b, float64(d.Microseconds())/1e3)
+	return b
 }
 
 // buildCAD returns the CAD View for the request — from the LRU cache, by
@@ -911,11 +958,11 @@ func (s *Server) coldBuild(ctx context.Context, ds *datasetEntry, req *cadReques
 	}
 	s.buildTotal.ObserveDuration(tm.Total())
 	return &builtView{
-		view:  view,
-		tm:    tm,
-		text:  core.Render(view, nil),
-		epoch: v.Epoch(),
-		rows:  v.Rows(),
+		view:     view,
+		tm:       tm,
+		textJSON: jsonw.AppendString(nil, core.Render(view, nil)),
+		epoch:    v.Epoch(),
+		rows:     v.Rows(),
 	}, nil
 }
 
@@ -1004,14 +1051,24 @@ func decode(r *http.Request, into any) *apiError {
 	return nil
 }
 
+// writeJSON sends v, JSON-encoded, as the response with status. The
+// body is encoded in full before the header goes out, so a value with no
+// JSON form (a NaN anywhere in it) answers 500 with the internal error
+// envelope rather than a 200 carrying an error text.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeAPIError(w, errInternal())
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends an encoded JSON body with status in a single Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do than log via the default
-		// error path.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	w.Write(body)
 }
 
 func debugStack() []byte { return debug.Stack() }
